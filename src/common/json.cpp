@@ -53,6 +53,13 @@ double JsonValue::as_number(double fallback) const noexcept {
   return kind_ == Kind::number ? num_ : fallback;
 }
 
+std::optional<long long> JsonValue::as_int(long long lo, long long hi) const noexcept {
+  if (kind_ != Kind::number || num_ != std::floor(num_) ||
+      num_ < static_cast<double>(lo) || num_ > static_cast<double>(hi))
+    return std::nullopt;
+  return static_cast<long long>(num_);
+}
+
 const JsonValue* JsonValue::find(const std::string& key) const noexcept {
   if (kind_ != Kind::object) return nullptr;
   for (const auto& [k, v] : members_) {

@@ -11,9 +11,8 @@
 //   * object key order is preserved on write but lookup is linear — request
 //     objects are a handful of keys, so a map would cost more than it saves.
 //
-// The sweep checkpoint journal (spice/checkpoint.hpp) keeps its own
-// schema-specific scanner: its format predates this parser and its torn-line
-// salvage rules are part of the resume contract.
+// The sweep checkpoint journal (spice/checkpoint.hpp) reads its JSONL lines
+// through json_parse too; its torn-line salvage rules live in the loader.
 #pragma once
 
 #include <optional>
@@ -46,6 +45,11 @@ class JsonValue {
 
   bool as_bool(bool fallback = false) const noexcept;
   double as_number(double fallback = 0.0) const noexcept;
+  /// The number as an integer when it is a whole number in [lo, hi];
+  /// nullopt for any other value (wrong kind, fractional, out of range).
+  /// The check runs on the double before any cast, so hostile input such as
+  /// 1e300 is rejected, not converted. |lo| and |hi| must not exceed 2^53.
+  std::optional<long long> as_int(long long lo, long long hi) const noexcept;
   const std::string& as_string() const noexcept { return str_; }
 
   const std::vector<JsonValue>& items() const noexcept { return items_; }

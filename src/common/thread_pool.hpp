@@ -1,5 +1,6 @@
-// Small persistent thread pool shared by the parallel MNA assembly
-// (spice/mna.hpp) and the batch sweep runner (spice/sweep.hpp).
+// Small persistent thread pool behind the two coarse-grained parallel paths:
+// the parallel MNA assembly (spice/mna.hpp, one pool per assembler) and the
+// batch sweep runner (spice/sweep.hpp). The sparse LU is serial.
 //
 // Design constraints, in order:
 //   * cheap steady-state dispatch — the assembler calls run() once per
@@ -48,7 +49,7 @@ class ThreadPool {
 
   /// Resolves a user-facing thread request: 0 = auto (hardware concurrency),
   /// otherwise the value itself, floored at 1.
-  static int resolve_threads(int requested) noexcept;
+  static int effective_threads(int requested) noexcept;
 
  private:
   void worker_loop();

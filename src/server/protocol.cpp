@@ -1,8 +1,28 @@
 #include "server/protocol.hpp"
 
+#include <algorithm>
+#include <thread>
+
 #include "common/json.hpp"
 
 namespace usys::server {
+namespace {
+
+/// Integer field `key` (absent = `fallback`) into `out`; false unless the
+/// value is a whole number in [lo, hi].
+bool int_field(const JsonValue& doc, const char* key, int fallback, int lo, int hi,
+               int& out) {
+  const JsonValue* v = doc.find(key);
+  if (v == nullptr) {
+    out = fallback;
+    return true;
+  }
+  const auto i = v->as_int(lo, hi);
+  if (i) out = static_cast<int>(*i);
+  return i.has_value();
+}
+
+}  // namespace
 
 bool parse_request(const std::string& line, Request& out, std::string& error) {
   const auto doc = json_parse(line);
@@ -10,7 +30,8 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     error = "malformed JSON request";
     return false;
   }
-  if (static_cast<int>(doc->get_number("v", 0)) != kProtocolVersion) {
+  int version = 0;
+  if (!int_field(*doc, "v", 0, kProtocolVersion, kProtocolVersion, version)) {
     error = "missing or unsupported protocol version (want \"v\":1)";
     return false;
   }
@@ -38,8 +59,12 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   }
   out.hdl_mode = doc->get_string("hdl");
   out.timeout_ms = doc->get_number("timeout_ms", 0.0);
-  out.threads = static_cast<int>(doc->get_number("threads", 1.0));
-  out.partition = doc->get_bool("partition", false);
+  const int max_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  if (!int_field(*doc, "threads", 1, 0, max_threads, out.threads)) {
+    error = "\"threads\" must be an integer in [0, " + std::to_string(max_threads) + "]";
+    return false;
+  }
   out.no_cache = doc->get_bool("no_cache", false);
   out.set_specs.clear();
   if (const JsonValue* set = doc->find("set"); set != nullptr && set->is_array()) {
@@ -51,13 +76,12 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
       out.set_specs.push_back(item.as_string());
     }
   }
-  if (out.timeout_ms < 0.0 || out.threads < 0) {
-    error = "timeout_ms and threads must be >= 0";
+  if (out.timeout_ms < 0.0) {
+    error = "timeout_ms must be >= 0";
     return false;
   }
   if (out.op == Request::Op::sweep) {
-    out.mc = static_cast<int>(doc->get_number("mc", 1.0));
-    if (out.mc < 1 || out.mc > 10'000'000) {
+    if (!int_field(*doc, "mc", 1, 1, 10'000'000, out.mc)) {
       error = "\"mc\" must be an integer in [1, 1e7]";
       return false;
     }
@@ -95,7 +119,6 @@ std::string build_request(const Request& req) {
       }
       if (req.timeout_ms > 0.0) doc.set("timeout_ms", JsonValue::make_number(req.timeout_ms));
       if (req.threads != 1) doc.set("threads", JsonValue::make_number(req.threads));
-      if (req.partition) doc.set("partition", JsonValue::make_bool(true));
       if (req.no_cache) doc.set("no_cache", JsonValue::make_bool(true));
       if (req.op == Request::Op::sweep) {
         if (req.mc != 1) doc.set("mc", JsonValue::make_number(req.mc));

@@ -34,8 +34,9 @@ struct Request {
   std::string hdl_mode;                ///< "" = netlist decides
   std::vector<std::string> set_specs;  ///< "DEV.PARAM=value" overrides
   double timeout_ms = 0.0;             ///< per-job wall budget; 0 = none
-  int threads = 1;                     ///< assembly/solve/refactor budget
-  bool partition = false;              ///< PartitionMode::auto_mode
+  /// run: assembly threads (0 = hardware concurrency); sweep: worker
+  /// threads. parse_request accepts [0, max(1, hardware_concurrency())].
+  int threads = 1;
   bool no_cache = false;               ///< bypass the result cache (benching)
 
   // op == sweep: a Monte Carlo / corner batch (docs/sweeps.md). The

@@ -49,18 +49,15 @@ struct Job {
 };
 
 /// Result-cache key: everything that can change the rendered frames.
-/// Deliberately EXCLUDES the thread knobs — parallel assembly / solve /
-/// refactorization are bit-identical to serial by repo invariant (see
-/// NewtonOptions), so requests differing only in threads share an entry.
-/// The partition mode is included: partitioned results match monolithic
-/// only to solver tolerance, not bit-for-bit.
+/// Deliberately EXCLUDES the thread knob — parallel assembly is
+/// bit-identical to serial by repo invariant (see NewtonOptions), so
+/// requests differing only in threads share an entry.
 std::string result_key(const Request& req, const std::string& hash) {
   std::string key = hash;
   for (const auto& spec : req.set_specs) {
     key += '|';
     key += spec;
   }
-  if (req.partition) key += "|partition";
   return key;
 }
 
@@ -589,10 +586,6 @@ struct SimServer::Impl {
       jr.overrides.push_back(std::move(ov));
     }
     jr.options.assembly_threads = req.threads;
-    jr.options.solve_threads = req.threads;
-    jr.options.refactor_threads = req.threads;
-    jr.options.partition =
-        req.partition ? spice::PartitionMode::auto_mode : spice::PartitionMode::off;
     // The per-job wall deadline is enforced by the monitor through the
     // cancel token (it also covers queue wait); the solver polls the token
     // at its usual deadline sites.

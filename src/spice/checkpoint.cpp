@@ -1,11 +1,12 @@
 #include "spice/checkpoint.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+
+#include "common/json.hpp"
 
 namespace usys::spice {
 
@@ -122,227 +123,143 @@ void CheckpointWriter::append(long index, const SweepPoint& point,
 }
 
 // ---------------------------------------------------------------------------
-// Parser — a minimal recursive-descent JSON reader for the one record shape
-// the writer produces. Full JSON values are accepted (objects, arrays,
-// strings, numbers, bools, null); unknown keys are ignored so the format can
-// grow fields without breaking old readers.
+// Reader — one json_parse per line (common/json.hpp), then a typed walk over
+// the record's keys. Unknown keys are ignored so the format can grow fields
+// without breaking old readers; a known key with the wrong shape rejects the
+// whole line.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Parser {
-  const char* p;
-  const char* end;
-
-  bool fail = false;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n')) ++p;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (static_cast<std::size_t>(end - p) >= n && std::memcmp(p, lit, n) == 0) {
-      p += n;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-
-  bool parse_string(std::string& out) {
-    out.clear();
-    if (!consume('"')) return false;
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c == '\\') {
-        if (p >= end) { fail = true; return false; }
-        const char esc = *p++;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            if (end - p < 4) { fail = true; return false; }
-            char hex[5] = {p[0], p[1], p[2], p[3], 0};
-            c = static_cast<char>(std::strtol(hex, nullptr, 16));
-            p += 4;
-            break;
-          }
-          default: fail = true; return false;
-        }
+/// The writer prints infinite doubles the way %.17g does ("inf", "-inf"),
+/// and JSON has no literal for them. Quotes those bare tokens (outside
+/// strings) so the line parses; read_double maps the quoted forms back.
+std::string quote_infinities(const std::string& line) {
+  std::string out;
+  out.reserve(line.size());
+  bool in_string = false;
+  for (std::size_t k = 0; k < line.size(); ++k) {
+    const char c = line[k];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && k + 1 < line.size()) {
+        out += line[++k];
+      } else if (c == '"') {
+        in_string = false;
       }
+    } else if (c == '"') {
+      in_string = true;
+      out += c;
+    } else if (line.compare(k, 4, "-inf") == 0) {
+      out += "\"-inf\"";
+      k += 3;
+    } else if (line.compare(k, 3, "inf") == 0) {
+      out += "\"inf\"";
+      k += 2;
+    } else {
       out += c;
     }
-    return consume('"');
   }
+  return out;
+}
 
-  /// Number or null (null reads as NaN — the writer's encoding for it).
-  bool parse_double(double& out) {
-    skip_ws();
-    if (p < end && *p == 'n') {
-      if (!literal("null")) return false;
-      out = std::numeric_limits<double>::quiet_NaN();
-      return true;
-    }
-    char* conv_end = nullptr;
-    out = std::strtod(p, &conv_end);
-    if (conv_end == p) { fail = true; return false; }
-    p = conv_end;
-    return true;
-  }
-
-  bool parse_long(long& out) {
-    double v = 0.0;
-    if (!parse_double(v)) return false;
-    out = static_cast<long>(v);
-    return true;
-  }
-
-  bool parse_bool(bool& out) {
-    skip_ws();
-    if (p < end && *p == 't') { out = true; return literal("true"); }
-    if (p < end && *p == 'f') { out = false; return literal("false"); }
-    fail = true;
+/// A journaled double: a number, null (the writer's NaN), or a quoted
+/// infinity (see quote_infinities).
+bool read_double(const JsonValue& v, double& out) {
+  if (v.is_number()) {
+    out = v.as_number();
+  } else if (v.is_null()) {
+    out = std::numeric_limits<double>::quiet_NaN();
+  } else if (v.is_string() && (v.as_string() == "inf" || v.as_string() == "-inf")) {
+    out = v.as_string() == "inf" ? std::numeric_limits<double>::infinity()
+                                 : -std::numeric_limits<double>::infinity();
+  } else {
     return false;
   }
+  return true;
+}
 
-  bool parse_pairs(std::vector<std::pair<std::string, double>>& out) {
-    out.clear();
-    if (!consume('[')) return false;
-    if (peek(']')) return consume(']');
-    do {
-      std::string name;
-      double value = 0.0;
-      if (!consume('[') || !parse_string(name) || !consume(',') ||
-          !parse_double(value) || !consume(']'))
-        return false;
-      out.emplace_back(std::move(name), value);
-    } while (peek(',') && consume(','));
-    return consume(']');
+/// A journaled integer; it must fit `T` (and the 2^53 exact-double range).
+template <typename T>
+bool read_int(const JsonValue& v, T& out) {
+  constexpr long long kExact = 1LL << 53;
+  const auto i = v.as_int(std::max<long long>(std::numeric_limits<T>::min(), -kExact),
+                          std::min<long long>(std::numeric_limits<T>::max(), kExact));
+  if (i) out = static_cast<T>(*i);
+  return i.has_value();
+}
+
+bool read_string(const JsonValue& v, std::string& out) {
+  if (!v.is_string()) return false;
+  out = v.as_string();
+  return true;
+}
+
+/// [["name", <double>], ...]
+bool read_pairs(const JsonValue& v, std::vector<std::pair<std::string, double>>& out) {
+  out.clear();
+  if (!v.is_array()) return false;
+  for (const auto& item : v.items()) {
+    if (!item.is_array() || item.items().size() != 2 || !item.items()[0].is_string())
+      return false;
+    double value = 0.0;
+    if (!read_double(item.items()[1], value)) return false;
+    out.emplace_back(item.items()[0].as_string(), value);
   }
+  return true;
+}
 
-  /// Skips any well-formed JSON value (forward compatibility: unknown keys).
-  bool skip_value() {
-    skip_ws();
-    if (p >= end) { fail = true; return false; }
-    switch (*p) {
-      case '{': {
-        consume('{');
-        if (peek('}')) return consume('}');
-        do {
-          std::string key;
-          if (!parse_string(key) || !consume(':') || !skip_value()) return false;
-        } while (peek(',') && consume(','));
-        return consume('}');
-      }
-      case '[': {
-        consume('[');
-        if (peek(']')) return consume(']');
-        do {
-          if (!skip_value()) return false;
-        } while (peek(',') && consume(','));
-        return consume(']');
-      }
-      case '"': {
-        std::string s;
-        return parse_string(s);
-      }
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: {
-        double v;
-        return parse_double(v);
-      }
+bool read_failure(const JsonValue& v, FailureInfo& out) {
+  if (!v.is_object()) return false;
+  for (const auto& [key, field] : v.members()) {
+    bool ok = true;
+    if (key == "kind") {
+      ok = field.is_string() && failure_kind_from_string(field.as_string(), out.kind);
+    } else if (key == "analysis") {
+      ok = read_string(field, out.analysis);
+    } else if (key == "time") {
+      ok = read_double(field, out.time);
+    } else if (key == "iteration") {
+      ok = read_int(field, out.iteration);
+    } else if (key == "rescue") {
+      ok = read_int(field, out.rescue_attempts);
+    } else if (key == "detail") {
+      ok = read_string(field, out.detail);
     }
+    if (!ok) return false;
   }
-
-  bool parse_failure(FailureInfo& out) {
-    if (!consume('{')) return false;
-    if (peek('}')) return consume('}');
-    do {
-      std::string key;
-      if (!parse_string(key) || !consume(':')) return false;
-      if (key == "kind") {
-        std::string name;
-        if (!parse_string(name)) return false;
-        if (!failure_kind_from_string(name, out.kind)) { fail = true; return false; }
-      } else if (key == "analysis") {
-        if (!parse_string(out.analysis)) return false;
-      } else if (key == "time") {
-        if (!parse_double(out.time)) return false;
-      } else if (key == "iteration") {
-        long v = 0;
-        if (!parse_long(v)) return false;
-        out.iteration = static_cast<int>(v);
-      } else if (key == "rescue") {
-        long v = 0;
-        if (!parse_long(v)) return false;
-        out.rescue_attempts = static_cast<int>(v);
-      } else if (key == "detail") {
-        if (!parse_string(out.detail)) return false;
-      } else {
-        if (!skip_value()) return false;
-      }
-    } while (peek(',') && consume(','));
-    return consume('}');
-  }
-};
+  return true;
+}
 
 }  // namespace
 
 bool parse_checkpoint_line(const std::string& line, CheckpointRecord& out) {
   out = CheckpointRecord{};
-  Parser ps{line.data(), line.data() + line.size()};
-  if (!ps.consume('{')) return false;
+  const auto doc = json_parse(quote_infinities(line));
+  if (!doc || !doc->is_object()) return false;
   bool have_index = false;
-  if (!ps.peek('}')) {
-    do {
-      std::string key;
-      if (!ps.parse_string(key) || !ps.consume(':')) return false;
-      if (key == "i") {
-        if (!ps.parse_long(out.index)) return false;
-        have_index = true;
-      } else if (key == "ok") {
-        if (!ps.parse_bool(out.outcome.ok)) return false;
-      } else if (key == "attempts") {
-        long v = 0;
-        if (!ps.parse_long(v)) return false;
-        out.outcome.attempts = static_cast<int>(v);
-      } else if (key == "params") {
-        if (!ps.parse_pairs(out.point.params)) return false;
-      } else if (key == "metrics") {
-        if (!ps.parse_pairs(out.outcome.metrics)) return false;
-      } else if (key == "error") {
-        if (!ps.parse_string(out.outcome.error)) return false;
-      } else if (key == "failure") {
-        if (!ps.parse_failure(out.outcome.failure)) return false;
-      } else {
-        if (!ps.skip_value()) return false;
-      }
-    } while (ps.peek(',') && ps.consume(','));
+  for (const auto& [key, field] : doc->members()) {
+    bool ok = true;
+    if (key == "i") {
+      ok = read_int(field, out.index);
+      have_index = true;
+    } else if (key == "ok") {
+      ok = field.is_bool();
+      out.outcome.ok = field.as_bool();
+    } else if (key == "attempts") {
+      ok = read_int(field, out.outcome.attempts);
+    } else if (key == "params") {
+      ok = read_pairs(field, out.point.params);
+    } else if (key == "metrics") {
+      ok = read_pairs(field, out.outcome.metrics);
+    } else if (key == "error") {
+      ok = read_string(field, out.outcome.error);
+    } else if (key == "failure") {
+      ok = read_failure(field, out.outcome.failure);
+    }
+    if (!ok) return false;
   }
-  if (!ps.consume('}')) return false;
-  ps.skip_ws();
-  return have_index && ps.p == ps.end && !ps.fail;
+  return have_index;
 }
 
 bool load_checkpoint(const std::string& path, CheckpointData& out, std::string* err) {

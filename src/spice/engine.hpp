@@ -14,9 +14,8 @@
 //     run_tran / run_ac calls instead of being rebuilt per analysis;
 //   * the integrator machinery of the transient loop.
 //
-// The legacy free functions (operating_point / transient / ac_sweep /
-// solve_dc) remain as thin compatibility wrappers that construct a fresh
-// engine per call, so their results are unchanged; batch workloads
+// The one-shot api:: functions (api/api.hpp: operating_point / transient /
+// ac_sweep / solve_dc) construct a fresh engine per call; batch workloads
 // (spice/sweep.hpp, usim --sweep) construct one engine per worker and run
 // many analyses against it.
 //
@@ -68,14 +67,6 @@ class AnalysisEngine {
   /// pivot order, value arrays) from a previous run. The server's engine
   /// cache reports this in /stats and uses it to pick eviction victims.
   bool warm() const noexcept { return solver_ != nullptr; }
-
-  /// Cache-eviction hook: sheds the warm solver state — the memory-heavy
-  /// part of a cached engine — while keeping the bound circuit, compiled
-  /// pattern, and preflight report, so a cooled engine still skips
-  /// parse/bind on its next use and only pays one fresh symbolic
-  /// factorization. Equivalent to rebind() today; kept as its own verb so
-  /// cache policy and parameter-change semantics can diverge.
-  void cool() { rebind(); }
 
   /// The construction-time static diagnostics pass (errors-only options:
   /// the expensive matching probe and the HDL re-surface are left to

@@ -177,7 +177,7 @@ void Device::lint(LintSink& sink) const { sink.footprint_clique(*this); }
 
 namespace {
 
-using usys::UnionFind;  // common/union_find.hpp, shared with the partitioner
+using usys::UnionFind;  // common/union_find.hpp
 
 /// Deterministic probe iterate: pseudo-random, bounded away from the special
 /// values 0 and 1 so products/differences don't cancel structurally present

@@ -74,9 +74,8 @@ int MnaPattern::slot(int r, int c) const noexcept {
   return static_cast<int>(it - col_idx_.begin());
 }
 
-MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int threads,
-                           ThreadPool* shared_pool)
-    : circuit_(circuit), pattern_(pattern), shared_pool_(shared_pool) {
+MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int threads)
+    : circuit_(circuit), pattern_(pattern) {
   if (!pattern_.complete()) throw CircuitError("MnaAssembler: incomplete pattern");
   jf_vals_.assign(pattern_.nonzeros(), 0.0);
   jq_vals_.assign(pattern_.nonzeros(), 0.0);
@@ -86,7 +85,7 @@ MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int thre
   sink_.row_ptr = pattern_.row_ptr().data();
   sink_.col_idx = pattern_.col_idx().data();
 
-  threads_ = threads == 0 ? ThreadPool::resolve_threads(0) : std::max(1, threads);
+  threads_ = threads == 0 ? ThreadPool::effective_threads(0) : std::max(1, threads);
   // More chunks than devices is pure overhead; never exceed the device count.
   threads_ = std::min<int>(threads_, std::max<int>(1, static_cast<int>(
                                          circuit_.devices().size())));
@@ -150,7 +149,7 @@ void MnaAssembler::compile_parallel() {
 
   tl_local_of_.assign(static_cast<std::size_t>(threads_), std::vector<int>(n, -1));
   tl_missed_.assign(static_cast<std::size_t>(threads_), 0);
-  if (!shared_pool_) pool_ = std::make_unique<ThreadPool>(threads_);
+  pool_ = std::make_unique<ThreadPool>(threads_);
 }
 
 void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
@@ -217,7 +216,7 @@ void MnaAssembler::assemble_parallel(const EvalCtx& ctx_proto, const DVector& x,
   // Phase 1: chunked device evaluation into private per-device blocks. Each
   // device runs exactly once (stateful devices never race); each chunk has
   // its own local_of scratch and sink.
-  pool().run(threads_, [&](int chunk) {
+  pool_->run(threads_, [&](int chunk) {
     const std::size_t lo = ndev * static_cast<std::size_t>(chunk) /
                            static_cast<std::size_t>(threads_);
     const std::size_t hi = ndev * (static_cast<std::size_t>(chunk) + 1) /
@@ -267,7 +266,7 @@ void MnaAssembler::assemble_parallel(const EvalCtx& ctx_proto, const DVector& x,
   // Phase 2: ordered gather. Slot/row ranges are disjoint across chunks and
   // each reduction visits its sources in device order, so the result is
   // bit-identical to the serial scatter for any thread count.
-  pool().run(threads_, [&](int chunk) {
+  pool_->run(threads_, [&](int chunk) {
     const std::size_t c = static_cast<std::size_t>(chunk);
     const std::size_t t = static_cast<std::size_t>(threads_);
     const std::size_t s_lo = nnz * c / t;

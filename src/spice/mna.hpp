@@ -89,12 +89,9 @@ class MnaAssembler {
  public:
   /// The pattern must be complete() and outlive the assembler. `threads`
   /// selects the assembly parallelism: 1 or negative = serial, 0 = auto
-  /// (hardware concurrency), N = exactly N. When `shared_pool` is non-null
-  /// the assembler fans out over it instead of creating its own (the solver
-  /// shares one pool between assembly and the threaded triangular solves);
-  /// the pool must outlive the assembler.
-  MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int threads = 1,
-               ThreadPool* shared_pool = nullptr);
+  /// (hardware concurrency), N = exactly N, capped at the device count. A
+  /// parallel assembler owns its thread pool.
+  MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int threads = 1);
 
   /// One stamp pass at iterate `x`: fills f, q and the flat Jf/Jq values.
   /// Does NOT apply gmin (that is solver policy — see NewtonSolver).
@@ -128,9 +125,7 @@ class MnaAssembler {
   int threads_ = 1;
 
   // --- parallel-mode state (empty when threads_ == 1) -----------------------
-  std::unique_ptr<ThreadPool> pool_;    ///< owned pool (no shared_pool given)
-  ThreadPool* shared_pool_ = nullptr;   ///< externally owned, if provided
-  ThreadPool& pool() noexcept { return shared_pool_ ? *shared_pool_ : *pool_; }
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::size_t> dev_block_off_;  ///< device -> offset into dev_jf_/dev_jq_
   std::vector<std::size_t> dev_vec_off_;    ///< device -> offset into dev_f_/dev_q_
   std::vector<double> dev_jf_, dev_jq_;     ///< per-device k*k capture blocks

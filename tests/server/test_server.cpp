@@ -208,6 +208,38 @@ TEST(Server, MalformedRequestsGetStructuredErrors) {
       ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 3; }));
 }
 
+TEST(Server, InvalidThreadsFieldIsRejectedAndDaemonKeepsServing) {
+  TestServer ts(small_server("thr"));
+  ASSERT_TRUE(ts.started);
+
+  // Negative, fractional, beyond int range, and far above the core count:
+  // each must be a bad-request frame (exit 2), never a job.
+  const char* values[] = {"-1", "1.5", "1e300", "100000"};
+  for (const char* v : values) {
+    UnixConn conn = UnixConn::connect_to(ts.server.socket_path());
+    ASSERT_TRUE(conn.valid());
+    const std::string line =
+        R"({"v":1,"op":"run","netlist":"V1 a 0 1\nR1 a 0 1k\n.op\n.end\n","threads":)" +
+        std::string(v) + "}";
+    ASSERT_TRUE(conn.write_all(line + "\n"));
+    std::string reply;
+    ASSERT_TRUE(conn.read_line(reply, 30000)) << "threads=" << v;
+    JsonValue e = parse_frame(reply);
+    EXPECT_EQ(e.get_string("frame"), "error") << "threads=" << v;
+    EXPECT_EQ(e.get_string("kind"), "bad-request") << "threads=" << v;
+    EXPECT_EQ(e.get_number("code"), 2.0) << "threads=" << v;
+    EXPECT_FALSE(conn.read_line(reply, 30000)) << "threads=" << v << ": " << reply;
+  }
+  EXPECT_TRUE(wait_for_stats(
+      ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 4; }));
+  EXPECT_EQ(ts.server.stats().jobs_submitted, 0L);
+
+  // The daemon still serves a valid job afterwards.
+  auto done = find_frame(submit(ts.server, run_request(kRcNetlist)), "done");
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(done->get_bool("ok"));
+}
+
 // --- cache tiers -------------------------------------------------------------
 
 TEST(Server, ColdThenWarmSameHashIsBitIdentical) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,6 +109,31 @@ TEST_F(CheckpointTest, NanTimeWritesNullAndReadsBackNan) {
   CheckpointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(line, rec));
   EXPECT_TRUE(std::isnan(rec.outcome.failure.time));
+}
+
+TEST_F(CheckpointTest, InfiniteValuesWriteBareAndReadBack) {
+  // An AC magnitude of exactly zero is -inf dB: the writer prints it the
+  // way %.17g does, and resume must restore it exactly.
+  SweepPoint point;
+  point.params = {{"k", std::numeric_limits<double>::infinity()}};
+  SweepOutcome out;
+  out.ok = true;
+  out.metrics = {{"vdb(out)", -std::numeric_limits<double>::infinity()}, {"inf", 1.0}};
+  const std::string line = checkpoint_line(4, point, out);
+  EXPECT_NE(line.find("[\"k\",inf]"), std::string::npos) << line;
+  EXPECT_NE(line.find("[\"vdb(out)\",-inf]"), std::string::npos) << line;
+  CheckpointRecord rec;
+  ASSERT_TRUE(parse_checkpoint_line(line, rec)) << line;
+  EXPECT_EQ(rec.point.params, point.params);
+  EXPECT_EQ(rec.outcome.metrics, out.metrics);
+}
+
+TEST_F(CheckpointTest, ParseRejectsOutOfRangeIntegers) {
+  CheckpointRecord rec;
+  EXPECT_FALSE(parse_checkpoint_line("{\"i\":1e300}", rec));
+  EXPECT_FALSE(parse_checkpoint_line("{\"i\":1.5}", rec));
+  EXPECT_FALSE(parse_checkpoint_line("{\"i\":0,\"attempts\":4294967296}", rec));
+  EXPECT_TRUE(parse_checkpoint_line("{\"i\":0,\"attempts\":3}", rec));
 }
 
 TEST_F(CheckpointTest, ParseRejectsMalformedLines) {

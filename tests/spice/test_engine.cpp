@@ -1,21 +1,16 @@
-// AnalysisEngine coverage: DC/TRAN/AC parity between the engine (including
-// one engine reused across analyses) and the legacy free-function path at
-// 1e-12 on the relay pull-in and interpreted-HDL circuits; determinism of
-// the parallel MNA assembly (N-thread results bit-identical to serial);
-// rebind() after device-parameter changes; and the SweepRunner batch path.
-//
-// PINNED PARITY SUITE: this file intentionally keeps calling the
-// [[deprecated]] spice:: free functions (operating_point / transient /
-// ac_sweep / solve_dc) so the wrappers stay exercised and provably
-// equivalent to the usys::api facade they forward to. Every other in-tree
-// caller has migrated (docs/architecture.md); do not "fix" these.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// AnalysisEngine coverage: DC/TRAN/AC parity between one engine reused
+// across analyses and a fresh engine per analysis (the api:: one-shot
+// functions) at 1e-12 on the relay pull-in and interpreted-HDL circuits;
+// determinism of the parallel MNA assembly (N-thread results bit-identical
+// to serial); rebind() after device-parameter changes; and the SweepRunner
+// batch path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
 
+#include "api/api.hpp"
 #include "core/netlist_ext.hpp"
 #include "core/transducers.hpp"
 #include "hdl/interpreter.hpp"
@@ -122,50 +117,50 @@ TranOptions tran_opts(double tstop, double dt) {
   return opts;
 }
 
-// --- engine vs free functions -----------------------------------------------
+// --- reused engine vs fresh engine per analysis ------------------------------
 
-/// One engine reused across op -> tran -> ac must reproduce the legacy
-/// fresh-call-per-analysis results to 1e-12.
+/// One engine reused across op -> tran -> ac must reproduce the
+/// fresh-engine-per-analysis results to 1e-12.
 void expect_engine_parity(const CircuitBuilder& build, double tstop, double dt,
                           bool with_ac) {
   const TranOptions topts = tran_opts(tstop, dt);
   AcOptions aopts;
   aopts.points = 10;
 
-  auto ckt_legacy_op = build();
-  const OpResult op_legacy = operating_point(*ckt_legacy_op);
-  auto ckt_legacy_tran = build();
-  const TranResult tran_legacy = transient(*ckt_legacy_tran, topts);
+  auto ckt_fresh_op = build();
+  const OpResult op_fresh = api::operating_point(*ckt_fresh_op);
+  auto ckt_fresh_tran = build();
+  const TranResult tran_fresh = api::transient(*ckt_fresh_tran, topts);
 
   auto ckt_engine = build();
   AnalysisEngine engine(*ckt_engine);
   const OpResult op_engine = engine.run_op();
-  ASSERT_TRUE(op_legacy.converged);
+  ASSERT_TRUE(op_fresh.converged);
   ASSERT_TRUE(op_engine.converged);
-  EXPECT_LT(rel_diff(op_legacy.x, op_engine.x), 1e-12);
+  EXPECT_LT(rel_diff(op_fresh.x, op_engine.x), 1e-12);
 
   const TranResult tran_engine = engine.run_tran(topts);
-  ASSERT_TRUE(tran_legacy.ok) << tran_legacy.error;
+  ASSERT_TRUE(tran_fresh.ok) << tran_fresh.error;
   ASSERT_TRUE(tran_engine.ok) << tran_engine.error;
-  ASSERT_EQ(tran_legacy.time.size(), tran_engine.time.size());
+  ASSERT_EQ(tran_fresh.time.size(), tran_engine.time.size());
   double worst = 0.0;
-  for (std::size_t k = 0; k < tran_legacy.x.size(); ++k)
-    worst = std::max(worst, rel_diff(tran_legacy.x[k], tran_engine.x[k]));
+  for (std::size_t k = 0; k < tran_fresh.x.size(); ++k)
+    worst = std::max(worst, rel_diff(tran_fresh.x[k], tran_engine.x[k]));
   EXPECT_LT(worst, 1e-12);
 
   if (with_ac) {
-    auto ckt_legacy_ac = build();
-    const AcResult ac_legacy = ac_sweep(*ckt_legacy_ac, aopts);
+    auto ckt_fresh_ac = build();
+    const AcResult ac_fresh = api::ac_sweep(*ckt_fresh_ac, aopts);
     const AcResult ac_engine = engine.run_ac(aopts);
-    ASSERT_TRUE(ac_legacy.ok) << ac_legacy.error;
+    ASSERT_TRUE(ac_fresh.ok) << ac_fresh.error;
     ASSERT_TRUE(ac_engine.ok) << ac_engine.error;
-    ASSERT_EQ(ac_legacy.freq.size(), ac_engine.freq.size());
-    for (std::size_t k = 0; k < ac_legacy.x.size(); ++k) {
-      for (std::size_t i = 0; i < ac_legacy.x[k].size(); ++i) {
+    ASSERT_EQ(ac_fresh.freq.size(), ac_engine.freq.size());
+    for (std::size_t k = 0; k < ac_fresh.x.size(); ++k) {
+      for (std::size_t i = 0; i < ac_fresh.x[k].size(); ++i) {
         const double scale = std::max(
-            {std::abs(ac_legacy.x[k][i]), std::abs(ac_engine.x[k][i]), 1e-12});
-        EXPECT_LT(std::abs(ac_legacy.x[k][i] - ac_engine.x[k][i]) / scale, 1e-12)
-            << "f=" << ac_legacy.freq[k] << " unknown=" << i;
+            {std::abs(ac_fresh.x[k][i]), std::abs(ac_engine.x[k][i]), 1e-12});
+        EXPECT_LT(std::abs(ac_fresh.x[k][i] - ac_engine.x[k][i]) / scale, 1e-12)
+            << "f=" << ac_fresh.freq[k] << " unknown=" << i;
       }
     }
   }
@@ -213,7 +208,7 @@ TEST(AnalysisEngine, RebindPicksUpParameterChanges) {
       dynamic_cast<core::ElectromagneticTransducer*>(ckt_ref->find_device("Xrel"));
   ASSERT_NE(xd_ref, nullptr);
   xd_ref->set_initial_displacement(-0.05e-3);
-  const OpResult ref = operating_point(*ckt_ref);
+  const OpResult ref = api::operating_point(*ckt_ref);
   ASSERT_TRUE(ref.converged);
   EXPECT_LT(rel_diff(changed.x, ref.x), 1e-12);
 }
@@ -259,14 +254,14 @@ TEST(ParallelAssembly, TransientTrajectoryBitIdentical) {
   opts.dc.newton.backend = MatrixBackend::sparse;
 
   auto ckt_serial = transducer_array(40);
-  const TranResult serial = transient(*ckt_serial, opts);
+  const TranResult serial = api::transient(*ckt_serial, opts);
   ASSERT_TRUE(serial.ok) << serial.error;
   EXPECT_TRUE(serial.used_sparse);
 
   opts.newton.assembly_threads = 4;
   opts.dc.newton.assembly_threads = 4;
   auto ckt_par = transducer_array(40);
-  const TranResult par = transient(*ckt_par, opts);
+  const TranResult par = api::transient(*ckt_par, opts);
   ASSERT_TRUE(par.ok) << par.error;
 
   ASSERT_EQ(serial.time.size(), par.time.size());
