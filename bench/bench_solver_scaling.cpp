@@ -11,7 +11,8 @@
 //
 // Also tracked here:
 //   * ordering quality — BM_Ordering* times SparseLu::analyze (AMD) and
-//     records the factor/fill nonzero counters;
+//     records the factor/fill nonzero counters, including the star-coupled
+//     transducer array whose bus is a dense row;
 //   * triangular solves — BM_TriangularSolve* times solve() on a chain
 //     (rc_ladder) and on a star-coupled transducer array.
 //
@@ -239,6 +240,13 @@ void BM_OrderingResonatorAmd(benchmark::State& state) {
 BENCHMARK(BM_OrderingRcLadderAmd)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_OrderingResonatorAmd)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);
+// The drive bus is a dense row (degree ~n/2): AMD postpones it, so analyze
+// time stays near linear in n instead of rescanning the hub at every pivot.
+void BM_OrderingTransducerStarAmd(benchmark::State& state) {
+  run_ordering(state, "transducer_star");
+}
+BENCHMARK(BM_OrderingTransducerStarAmd)->Arg(1000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
 
 // --- triangular solves -------------------------------------------------------

@@ -123,6 +123,13 @@ std::vector<std::vector<int>> SparseLu<T>::symmetrized_adjacency() const {
 ///   * mass elimination — variables whose adjacency collapses to exactly
 ///     {p} are ordered immediately after p (their elimination admits no
 ///     fill beyond Lp's).
+/// Dense rows (Amestoy/Davis/Duff): a row whose symmetrized degree exceeds
+/// max(16, 10 sqrt(n)) — e.g. a bus shared by every cell of an array —
+/// would be rescanned at every neighbouring pivot, O(n^2) overall. Such
+/// rows leave the graph before elimination and are ordered last, in
+/// ascending index order. Each remaining variable adds its fixed count of
+/// dense neighbours to every degree, and only variables with equal counts
+/// merge, so ties among them break as on the full graph.
 /// Determinism: candidates live in an ordered (degree, index) set, merges
 /// keep the smallest index as principal, and all adjacency lists stay
 /// sorted — the same pattern yields the same permutation everywhere.
@@ -133,10 +140,10 @@ void SparseLu<T>::amd_order() {
   q_.reserve(static_cast<std::size_t>(n));
   if (n == 0) return;
 
-  // Quotient-graph role. kAbsorbed covers both variables merged into a
-  // supervariable and mass-eliminated variables: either way they are out of
-  // the graph (scrubbed from or filtered out of every live adjacency) while
-  // their indices are emitted through q_.
+  // Quotient-graph role. kAbsorbed covers variables merged into a
+  // supervariable, mass-eliminated variables and postponed dense rows:
+  // all are out of the graph (scrubbed from or filtered out of every live
+  // adjacency) while their indices are emitted through q_.
   enum : char { kLive, kElement, kAbsorbed, kDead };
   std::vector<char> state(static_cast<std::size_t>(n), kLive);
   std::vector<std::vector<int>> vlist = symmetrized_adjacency();  // variable nbrs
@@ -145,26 +152,46 @@ void SparseLu<T>::amd_order() {
   std::vector<std::vector<int>> merged(static_cast<std::size_t>(n));
   std::vector<long long> nv(static_cast<std::size_t>(n), 1);  // supervariable weight
   std::vector<long long> deg(static_cast<std::size_t>(n), 0);
+  std::vector<long long> ndense(static_cast<std::size_t>(n), 0);  // dense nbr count
+
+  const auto sorted_erase = [](std::vector<int>& v, int value) {
+    const auto it = std::lower_bound(v.begin(), v.end(), value);
+    if (it != v.end() && *it == value) v.erase(it);
+  };
+
+  // Dense rows leave the graph before the first pivot; q_ gets them last.
+  const double dense_cut = std::max(16.0, 10.0 * std::sqrt(static_cast<double>(n)));
+  std::vector<int> dense;
+  for (int i = 0; i < n; ++i)
+    if (static_cast<double>(vlist[static_cast<std::size_t>(i)].size()) > dense_cut)
+      dense.push_back(i);
+  for (int d : dense) {
+    const auto sd = static_cast<std::size_t>(d);
+    state[sd] = kAbsorbed;
+    for (int v : vlist[sd]) {
+      sorted_erase(vlist[static_cast<std::size_t>(v)], d);
+      ++ndense[static_cast<std::size_t>(v)];
+    }
+    vlist[sd].clear();
+    vlist[sd].shrink_to_fit();
+  }
 
   std::set<std::pair<long long, int>> degq;  // (approx degree, index): smallest first
   for (int i = 0; i < n; ++i) {
-    deg[static_cast<std::size_t>(i)] =
-        static_cast<long long>(vlist[static_cast<std::size_t>(i)].size());
-    degq.emplace(deg[static_cast<std::size_t>(i)], i);
+    const auto si = static_cast<std::size_t>(i);
+    if (state[si] != kLive) continue;
+    deg[si] = static_cast<long long>(vlist[si].size()) + ndense[si];
+    degq.emplace(deg[si], i);
   }
 
-  // Live principal-variable weight still to eliminate (degree clamp bound).
+  // Live principal-variable weight still to eliminate (degree clamp bound);
+  // the postponed dense rows stay in it.
   long long live_weight = n;
 
   std::vector<int> in_lp(static_cast<std::size_t>(n), 0);  // Lp membership marks
   std::vector<long long> w(static_cast<std::size_t>(n), -1);  // |Le \ Lp| scratch
   std::vector<int> lp, wtouch, hash_order;
   std::vector<long long> hash(static_cast<std::size_t>(n), 0);
-
-  const auto sorted_erase = [](std::vector<int>& v, int value) {
-    const auto it = std::lower_bound(v.begin(), v.end(), value);
-    if (it != v.end() && *it == value) v.erase(it);
-  };
   const auto live_pattern_weight = [&](const std::vector<int>& pat) {
     long long s = 0;
     for (int v : pat)
@@ -261,7 +288,7 @@ void SparseLu<T>::amd_order() {
                el.end());
       el.insert(std::lower_bound(el.begin(), el.end(), p), p);
 
-      long long d = lp_weight - nv[si];
+      long long d = lp_weight - nv[si] + ndense[si];
       for (int v : vl) d += nv[static_cast<std::size_t>(v)];
       for (int e : el) {
         if (e == p) continue;
@@ -294,7 +321,8 @@ void SparseLu<T>::amd_order() {
         const int j = hash_order[b];
         const auto sj = static_cast<std::size_t>(j);
         if (state[sj] != kLive || hash[si] != hash[sj]) continue;
-        if (vlist[si] != vlist[sj] || elist[si] != elist[sj]) continue;
+        if (ndense[si] != ndense[sj] || vlist[si] != vlist[sj] || elist[si] != elist[sj])
+          continue;
         // Indistinguishable: merge j into i (i < j keeps the principal
         // deterministic). i's weight absorbs j's, so neighbor degrees —
         // which sum nv over live entries — need j scrubbed from their lists.
@@ -335,6 +363,7 @@ void SparseLu<T>::amd_order() {
     if (epat[sp].empty()) state[sp] = kDead;
   }
 
+  q_.insert(q_.end(), dense.begin(), dense.end());
   if (q_.size() != static_cast<std::size_t>(n))
     throw std::logic_error("SparseLu: AMD ordering dropped variables");
 }

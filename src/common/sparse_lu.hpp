@@ -6,8 +6,9 @@
 // the VALUES change every iteration:
 //   * analyze()  — once per pattern: records the CSR layout, the CSR-to-CSC
 //     slot mapping, and a fill-reducing column order (approximate minimum
-//     degree). The ordering is fully deterministic: every degree tie breaks
-//     on the smallest index.
+//     degree; rows of degree above max(16, 10 sqrt(n)) are postponed and
+//     ordered last). The ordering is fully deterministic: every degree tie
+//     breaks on the smallest index.
 //   * factor()   — the first call runs the full pivoting factorization and
 //     records the pivot order and the L/U patterns (the "symbolic"
 //     factorization); later calls replay those patterns as pure numeric

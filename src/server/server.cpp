@@ -651,10 +651,15 @@ struct SimServer::Impl {
     StatsSnapshot s = counters;
     s.queue_depth = static_cast<int>(queue.size());
     s.engines_cached = static_cast<int>(engines.size());
+    // Warmness is read only on idle sessions: a running job swaps its
+    // engine's solver under run_mu, not under mu (same rule as
+    // evict_engines).
     s.engines_warm = 0;
     for (const auto& [hash, entry] : engines) {
       (void)hash;
+      if (!entry->run_mu.try_lock()) continue;
       if (entry->session->warm()) ++s.engines_warm;
+      entry->run_mu.unlock();
     }
     s.uptime_s = ms_since(started_at) / 1000.0;
     s.jobs_per_s = s.uptime_s > 0.0 ? s.jobs_completed / s.uptime_s : 0.0;

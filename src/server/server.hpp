@@ -53,7 +53,7 @@ struct StatsSnapshot {
   long symbolic_factorizations = 0;  ///< summed over all executed jobs
   int queue_depth = 0;
   int engines_cached = 0;
-  int engines_warm = 0;
+  int engines_warm = 0;  ///< idle cached sessions holding warm solver state
   double uptime_s = 0.0;
   double jobs_per_s = 0.0;
   double latency_p50_ms = 0.0;  ///< over the last <= 512 completed jobs

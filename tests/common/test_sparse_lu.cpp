@@ -3,6 +3,7 @@
 // cases, singular detection, complex solves, and pattern reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <random>
@@ -210,20 +211,24 @@ TEST(SparseLu, RepivotsWhenReusedPivotDegrades) {
   EXPECT_EQ(lu.symbolic_factorizations(), 2);
 }
 
+void expect_permutation(const std::vector<int>& q, int n) {
+  ASSERT_EQ(q.size(), static_cast<std::size_t>(n));
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (int v : q) {
+    ASSERT_GE(v, 0);
+    ASSERT_LT(v, n);
+    ASSERT_FALSE(seen[static_cast<std::size_t>(v)]) << "duplicate column " << v;
+    seen[static_cast<std::size_t>(v)] = 1;
+  }
+}
+
 TEST(SparseLu, OrderingIsAlwaysAValidPermutation) {
   std::mt19937 rng(31);
   for (int n : {1, 2, 9, 64, 150}) {
     const Pattern p = random_pattern(n, rng);
     SparseLu<double> lu;
     lu.analyze(p.n, p.row_ptr, p.col_idx);
-    ASSERT_EQ(lu.ordering().size(), static_cast<std::size_t>(n));
-    std::vector<char> seen(static_cast<std::size_t>(n), 0);
-    for (int v : lu.ordering()) {
-      ASSERT_GE(v, 0);
-      ASSERT_LT(v, n);
-      EXPECT_FALSE(seen[static_cast<std::size_t>(v)]) << "duplicate column " << v;
-      seen[static_cast<std::size_t>(v)] = 1;
-    }
+    expect_permutation(lu.ordering(), n);
   }
 }
 
@@ -271,6 +276,58 @@ TEST(SparseLu, AmdFillOnBandedPattern) {
   lu.factor(vals);
   EXPECT_EQ(lu.nonzeros(), 1494u);
   EXPECT_EQ(lu.factor_nonzeros(), 1794u);
+}
+
+/// Arrow pattern: a diagonal plus the rows/columns in `hubs`, each coupled
+/// to every other index (the MNA shape of a bus shared by n cells).
+Pattern arrow_pattern(int n, std::vector<int> hubs) {
+  std::sort(hubs.begin(), hubs.end());
+  Pattern p;
+  p.n = n;
+  p.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int r = 0; r < n; ++r) {
+    if (std::binary_search(hubs.begin(), hubs.end(), r)) {
+      for (int c = 0; c < n; ++c) p.col_idx.push_back(c);
+    } else {
+      std::vector<int> cols = hubs;
+      cols.insert(std::lower_bound(cols.begin(), cols.end(), r), r);
+      p.col_idx.insert(p.col_idx.end(), cols.begin(), cols.end());
+    }
+    p.row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int>(p.col_idx.size());
+  }
+  return p;
+}
+
+TEST(SparseLu, DenseHubRowIsOrderedLastWithZeroFill) {
+  // One hub row of degree n - 1 at index 0, where the natural order would
+  // eliminate it first and fill the whole matrix. AMD postpones it: the
+  // hub comes last and L+U keep exactly the pattern (both factor
+  // diagonals count the n diagonal slots twice). Without dense-row
+  // postponement this ordering re-scans the hub at every pivot: O(n^2).
+  constexpr int n = 50000;
+  const Pattern p = arrow_pattern(n, {0});
+  std::mt19937 rng(5);
+  const auto vals = make_dominant(p, rng);
+  SparseLu<double> lu;
+  lu.analyze(p.n, p.row_ptr, p.col_idx);
+  expect_permutation(lu.ordering(), n);
+  EXPECT_EQ(lu.ordering().back(), 0);
+  lu.factor(vals);
+  EXPECT_EQ(lu.factor_nonzeros(), lu.nonzeros() + static_cast<std::size_t>(n));
+
+  SparseLu<double> again;
+  again.analyze(p.n, p.row_ptr, p.col_idx);
+  EXPECT_EQ(again.ordering(), lu.ordering());
+}
+
+TEST(SparseLu, DenseHubRowsAreOrderedLastInIndexOrder) {
+  constexpr int n = 2000;
+  const Pattern p = arrow_pattern(n, {n - 1, 5});
+  SparseLu<double> lu;
+  lu.analyze(p.n, p.row_ptr, p.col_idx);
+  expect_permutation(lu.ordering(), n);
+  const std::vector<int> tail(lu.ordering().end() - 2, lu.ordering().end());
+  EXPECT_EQ(tail, (std::vector<int>{5, n - 1}));
 }
 
 TEST(SparseLu, UsageErrors) {

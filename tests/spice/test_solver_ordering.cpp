@@ -1,8 +1,9 @@
 // Sparse LU ordering at the circuit level: result parity of the AMD-ordered
 // sparse path against the unordered dense path on the relay and HDL
-// circuits (the ordering must never change physics, only fill), and pinned
+// circuits (the ordering must never change physics, only fill), pinned
 // AMD fill on the bench topologies (the quality number bench_solver_scaling
-// reports).
+// reports), and the TRANSARRAY scale oracle: n identical cells on one bus
+// must reproduce the single-cell operating point.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "api/api.hpp"
 #include "core/netlist_ext.hpp"
 #include "core/transducers.hpp"
 #include "hdl/interpreter.hpp"
@@ -110,6 +112,14 @@ std::unique_ptr<Circuit> resonator_array(int count) {
     prev = node;
   }
   return ckt;
+}
+
+/// A TRANSARRAY on a 10 ohm bus driven at 5 V DC (the usysbench array
+/// shape).
+std::string transarray_netlist(int cells, double dspread) {
+  return "* transducer array\nV1 drv 0 5\nRb drv bus 10\nXA bus 0 TRANSARRAY n=" +
+         std::to_string(cells) + " a=1e-8 d=2e-6 m=1e-9 k=25 alpha=1e-4 dspread=" +
+         std::to_string(dspread) + "\n.op\n.end\n";
 }
 
 TranOptions tran_opts(double tstop, double dt) {
@@ -229,6 +239,43 @@ TEST(SolverOrdering, AmdFillOnBenchTopologies) {
   EXPECT_EQ(fill_of(*ladder), 1998u);
   auto res = resonator_array(250);  // 749 unknowns, 2743 pattern entries
   EXPECT_EQ(fill_of(*res), 3492u);
+  // The bus row of a 1000-cell array is dense (degree 1001 against a cut
+  // of 10 sqrt(n)) and AMD orders it last. The cells keep their full-graph
+  // order only because every degree counts the postponed bus: without that
+  // offset each mechanical node moves ahead of its spring branch and the
+  // factors grow to 10011 entries.
+  auto parser = core::make_full_parser();
+  const auto array = parser.parse(transarray_netlist(1000, 0.1));
+  EXPECT_EQ(fill_of(*array.circuit), 8011u);
+}
+
+// --- scale oracle ------------------------------------------------------------
+
+/// With dspread = 0 every cell of a TRANSARRAY is identical, and at DC no
+/// current flows into the transducers, so the bus voltage and each cell's
+/// spring displacement do not depend on the cell count. n = 1 runs the
+/// dense path; 1000 and 20000 run the AMD-ordered sparse path with the bus
+/// postponed as a dense row.
+TEST(ScaleOracle, TransArrayOpMatchesSingleCell) {
+  double bus_ref = 0.0, disp_ref = 0.0;
+  for (int cells : {1, 1000, 20000}) {
+    api::Session session(transarray_netlist(cells, 0.0));
+    const api::JobResult r = session.run();
+    ASSERT_TRUE(r.ok) << r.error;
+    const OpResult& op = r.analyses.back().op;
+    const auto* spring = dynamic_cast<const Spring*>(session.circuit().find_device("XA_0_k"));
+    ASSERT_NE(spring, nullptr);
+    const double bus = op.at(session.circuit().node("bus"));
+    const double disp = spring->displacement(op.x);
+    ASSERT_GT(std::abs(disp), 0.0);
+    if (cells == 1) {
+      bus_ref = bus;
+      disp_ref = disp;
+      continue;
+    }
+    EXPECT_LE(std::abs(bus - bus_ref), 1e-12 * std::abs(bus_ref)) << "n=" << cells;
+    EXPECT_LE(std::abs(disp - disp_ref), 1e-12 * std::abs(disp_ref)) << "n=" << cells;
+  }
 }
 
 }  // namespace
