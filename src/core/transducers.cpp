@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
+#include "spice/stamp_kernel.hpp"
 
 namespace usys::core {
 namespace {
@@ -39,9 +40,9 @@ void TransducerBase::accept(const AcceptCtx& ctx) {
   xstate_.accept(ctx.v(c_) - ctx.v(d_), ctx);
 }
 
-void TransducerBase::stamp_mech_force(EvalCtx& ctx, double f_plate, double df_dva,
-                                      double df_dvb, double df_dx, double df_dbr,
-                                      int br) const {
+template <class S>
+void TransducerBase::stamp_mech_force(S& ctx, double f_plate, double df_dva, double df_dvb,
+                                      double df_dx, double df_dbr, int br) const {
   const double sl = disp_slope(ctx);
   // Deliver f_plate into pin c: the *absorbed* flow at c is -f_plate.
   ctx.f_add(c_, -f_plate);
@@ -73,7 +74,8 @@ double TransverseElectrostatic::effective_gap(double x) const {
   return std::max(geom_.gap + x, kGapFloorFraction * geom_.gap);
 }
 
-void TransverseElectrostatic::evaluate(EvalCtx& ctx) {
+template <class S>
+void TransverseElectrostatic::stamp(S& ctx) const {
   const double volt = ctx.v(a_) - ctx.v(b_);
   const double x = disp(ctx);
   const double sl = disp_slope(ctx);
@@ -83,7 +85,7 @@ void TransverseElectrostatic::evaluate(EvalCtx& ctx) {
   if (gap < kGapFloorFraction * geom_.gap) {
     gap = kGapFloorFraction * geom_.gap;
     dgap_dx = 0.0;
-    if (!collision_warned_) {
+    if (!spice::kRecordingPass<S> && !collision_warned_) {
       log_warn("transducer '" + name() + "': electrode collision (gap clamped)");
       collision_warned_ = true;
     }
@@ -112,6 +114,12 @@ void TransverseElectrostatic::evaluate(EvalCtx& ctx) {
   const double df_dv = -ea * volt / (gap * gap);
   const double df_dx = ea * volt * volt / (gap * gap * gap) * dgap_dx;
   stamp_mech_force(ctx, f, df_dv, -df_dv, df_dx, 0.0, -1);
+}
+
+void TransverseElectrostatic::evaluate(EvalCtx& ctx) { stamp(ctx); }
+
+spice::StampKernel TransverseElectrostatic::stamp_kernel() const {
+  return &spice::stamp_batch<TransverseElectrostatic>;
 }
 
 // ---------------------------------------------------------------------------

@@ -50,18 +50,31 @@ class TransducerBase : public Device {
   const TransducerGeometry& geometry() const noexcept { return geom_; }
 
  protected:
+  // `S` below is an EvalCtx or a flat-stamp-program stamper
+  // (spice/stamp_kernel.hpp); both expose the same stamp interface.
+
   /// Relative plate velocity v_c - v_d at the current iterate.
-  double velocity(const EvalCtx& ctx) const { return ctx.v(c_) - ctx.v(d_); }
+  template <class S>
+  double velocity(const S& ctx) const {
+    return ctx.v(c_) - ctx.v(d_);
+  }
   /// Current displacement under the step's integration formula.
-  double disp(const EvalCtx& ctx) const { return xstate_.value(velocity(ctx), ctx); }
+  template <class S>
+  double disp(const S& ctx) const {
+    return xstate_.value(velocity(ctx), ctx);
+  }
   /// d(displacement)/d(velocity unknown) for the chain rule.
-  double disp_slope(const EvalCtx& ctx) const { return xstate_.slope(ctx); }
+  template <class S>
+  double disp_slope(const S& ctx) const {
+    return xstate_.slope(ctx);
+  }
 
   /// Adds a force `f_plate` delivered into pin c (reaction into pin d),
   /// with partial derivatives given w.r.t. voltage-like and x-like scalars.
   /// dfdx is mapped through the integrator slope onto the velocity columns.
-  void stamp_mech_force(EvalCtx& ctx, double f_plate, double df_dva, double df_dvb,
-                        double df_dx, double df_dbr, int br) const;
+  template <class S>
+  void stamp_mech_force(S& ctx, double f_plate, double df_dva, double df_dvb, double df_dx,
+                        double df_dbr, int br) const;
 
   int a_, b_, c_, d_;  // pins: (a,b) electrical, (c,d) mechanical
   TransducerGeometry geom_;
@@ -71,10 +84,17 @@ class TransducerBase : public Device {
 
 /// (a) Transverse electrostatic (gap-closing plate), Listing 1 of the paper.
 ///   C(x) = eps*A/(d+x);  i = d(C(x) V)/dt;  F_plate = -eps*A*V^2/(2 (d+x)^2).
+/// The one native transducer with a flat-stamp-program kernel: its stamp
+/// sequence is fixed, while the electromagnetic transducer's depends on
+/// values (see stamp_mech_force).
 class TransverseElectrostatic final : public TransducerBase {
  public:
   using TransducerBase::TransducerBase;
   void evaluate(EvalCtx& ctx) override;
+  spice::StampKernel stamp_kernel() const override;
+  /// The one stamp body behind evaluate() and the kernel.
+  template <class S>
+  void stamp(S& s) const;
 
   /// Effective (collision-clamped) gap at displacement x.
   double effective_gap(double x) const;

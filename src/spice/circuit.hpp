@@ -25,8 +25,21 @@
 namespace usys::spice {
 
 class Circuit;
+class Device;
 class MnaPattern;
 class LintSink;
+struct StampArgs;
+
+/// Which instantiation of a device type's stamp body a kernel runs (see
+/// spice/stamp_kernel.hpp): `record` logs the Jacobian slot stream at
+/// compile time, `full` replays it into the CSR values, `values` writes
+/// f and q only.
+enum class StampPass : unsigned char { record, full, values };
+
+/// A native device type's batch function: stamps `count` devices of that
+/// one type, in order, straight into the flat arrays of `args`.
+using StampKernel = void (*)(StampPass pass, Device* const* devices, std::size_t count,
+                             StampArgs& args);
 
 /// Raised on malformed circuits: nature mismatches, unknown nodes,
 /// duplicate device names.
@@ -92,6 +105,13 @@ class Device {
     (void)out;
     return false;
   }
+
+  /// The type's batch function for the flat stamp program (spice/mna.hpp),
+  /// or nullptr (the default) to be stamped through the virtual evaluate().
+  /// A kernel runs the same stamp body as evaluate(), and its Jacobian
+  /// stamp sequence must not depend on values: the program records it
+  /// once at compile time and replays it on every pass.
+  virtual StampKernel stamp_kernel() const { return nullptr; }
 
   /// Complex AC excitation (small-signal sources). Row indexing matches the
   /// real unknown vector. Default: no AC contribution.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "spice/lint.hpp"
+#include "spice/stamp_kernel.hpp"
 
 namespace usys::spice {
 
@@ -31,16 +32,21 @@ void Resistor::lint_values(LintSink& sink) const {
   if (nature_ == Nature::electrical) sink.check_magnitude("resistance", r_, 1e-3, 1e12);
 }
 
-void Resistor::evaluate(EvalCtx& ctx) {
+template <class S>
+void Resistor::stamp(S& s) const {
   const double g = 1.0 / r_;
-  const double i = g * (ctx.v(a_) - ctx.v(b_));
-  ctx.f_add(a_, i);
-  ctx.f_add(b_, -i);
-  ctx.jf_add(a_, a_, g);
-  ctx.jf_add(a_, b_, -g);
-  ctx.jf_add(b_, a_, -g);
-  ctx.jf_add(b_, b_, g);
+  const double i = g * (s.v(a_) - s.v(b_));
+  s.f_add(a_, i);
+  s.f_add(b_, -i);
+  s.jf_add(a_, a_, g);
+  s.jf_add(a_, b_, -g);
+  s.jf_add(b_, a_, -g);
+  s.jf_add(b_, b_, g);
 }
+
+void Resistor::evaluate(EvalCtx& ctx) { stamp(ctx); }
+
+StampKernel Resistor::stamp_kernel() const { return &stamp_batch<Resistor>; }
 
 Capacitor::Capacitor(std::string name, int a, int b, double capacitance, Nature nature)
     : Device(std::move(name)), a_(a), b_(b), c_(capacitance), nature_(nature) {
@@ -68,15 +74,20 @@ void Capacitor::lint_values(LintSink& sink) const {
   if (nature_ == Nature::electrical) sink.check_magnitude("capacitance", c_, 1e-18, 1.0);
 }
 
-void Capacitor::evaluate(EvalCtx& ctx) {
-  const double q = c_ * (ctx.v(a_) - ctx.v(b_));
-  ctx.q_add(a_, q);
-  ctx.q_add(b_, -q);
-  ctx.jq_add(a_, a_, c_);
-  ctx.jq_add(a_, b_, -c_);
-  ctx.jq_add(b_, a_, -c_);
-  ctx.jq_add(b_, b_, c_);
+template <class S>
+void Capacitor::stamp(S& s) const {
+  const double q = c_ * (s.v(a_) - s.v(b_));
+  s.q_add(a_, q);
+  s.q_add(b_, -q);
+  s.jq_add(a_, a_, c_);
+  s.jq_add(a_, b_, -c_);
+  s.jq_add(b_, a_, -c_);
+  s.jq_add(b_, b_, c_);
 }
+
+void Capacitor::evaluate(EvalCtx& ctx) { stamp(ctx); }
+
+StampKernel Capacitor::stamp_kernel() const { return &stamp_batch<Capacitor>; }
 
 Inductor::Inductor(std::string name, int a, int b, double inductance, Nature nature)
     : Device(std::move(name)), a_(a), b_(b), l_(inductance), nature_(nature) {
@@ -120,19 +131,24 @@ void Damper::lint_values(LintSink& sink) const {
   sink.check_value("damping coefficient", alpha_);
 }
 
-void Inductor::evaluate(EvalCtx& ctx) {
+template <class S>
+void Inductor::stamp(S& s) const {
   // KCL: branch current leaves a, enters b.
-  const double i = ctx.v(br_);
-  ctx.f_add(a_, i);
-  ctx.f_add(b_, -i);
-  ctx.jf_add(a_, br_, 1.0);
-  ctx.jf_add(b_, br_, -1.0);
+  const double i = s.v(br_);
+  s.f_add(a_, i);
+  s.f_add(b_, -i);
+  s.jf_add(a_, br_, 1.0);
+  s.jf_add(b_, br_, -1.0);
   // Branch equation: d(L i)/dt - (va - vb) = 0.
-  ctx.f_add(br_, -(ctx.v(a_) - ctx.v(b_)));
-  ctx.jf_add(br_, a_, -1.0);
-  ctx.jf_add(br_, b_, 1.0);
-  ctx.q_add(br_, l_ * i);
-  ctx.jq_add(br_, br_, l_);
+  s.f_add(br_, -(s.v(a_) - s.v(b_)));
+  s.jf_add(br_, a_, -1.0);
+  s.jf_add(br_, b_, 1.0);
+  s.q_add(br_, l_ * i);
+  s.jq_add(br_, br_, l_);
 }
+
+void Inductor::evaluate(EvalCtx& ctx) { stamp(ctx); }
+
+StampKernel Inductor::stamp_kernel() const { return &stamp_batch<Inductor>; }
 
 }  // namespace usys::spice

@@ -4,7 +4,8 @@
 // ones re-typed:  mass <-> capacitor (C = m), spring <-> inductor (L = 1/k),
 // damper <-> resistor (conductance = alpha). We provide the mechanical
 // elements as first-class devices so netlists read like the physics, while
-// sharing the stamp math with their electrical twins.
+// sharing the stamp math — and the flat stamp program's kernel — with their
+// electrical twins.
 #pragma once
 
 #include <cmath>
@@ -21,6 +22,10 @@ class Resistor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   bool stamp_footprint(std::vector<int>& out) const override;
+  StampKernel stamp_kernel() const override;
+  /// The one stamp body behind evaluate() and the kernel.
+  template <class S>
+  void stamp(S& s) const;
   void lint(LintSink& sink) const override;
   double resistance() const noexcept { return r_; }
   bool set_param(std::string_view key, double value) override {
@@ -54,6 +59,10 @@ class Capacitor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   bool stamp_footprint(std::vector<int>& out) const override;
+  StampKernel stamp_kernel() const override;
+  /// The one stamp body behind evaluate() and the kernel.
+  template <class S>
+  void stamp(S& s) const;
   void lint(LintSink& sink) const override;
   double capacitance() const noexcept { return c_; }
   bool set_param(std::string_view key, double value) override {
@@ -85,6 +94,10 @@ class Inductor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   bool stamp_footprint(std::vector<int>& out) const override;
+  StampKernel stamp_kernel() const override;
+  /// The one stamp body behind evaluate() and the kernel.
+  template <class S>
+  void stamp(S& s) const;
   void lint(LintSink& sink) const override;
   double inductance() const noexcept { return l_; }
   /// Unknown index of the branch current (valid after bind).

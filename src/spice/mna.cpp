@@ -3,75 +3,201 @@
 #include <algorithm>
 #include <numeric>
 
+#include "spice/stamp_kernel.hpp"
+
 namespace usys::spice {
+
+namespace {
+
+/// Compiles the flat stamp program inside the pattern's device walk, while
+/// each device and its footprint are hot in cache: add() schedules a device
+/// and records its Jacobian stamps as footprint-local entries (li * k + lj);
+/// finish() maps them to CSR slots through the finished slot tables. Ops
+/// grow in device order, so each keeps its devices and its stream in the
+/// order the program runs them.
+class ProgramBuilder {
+ public:
+  ProgramBuilder(std::size_t ndev, int n)
+      : last_op_(static_cast<std::size_t>(n), -1), rec_(ndev) {}
+
+  void add(std::size_t d, Device& dev, const std::vector<int>& unknowns) {
+    const StampKernel kernel = dev.stamp_kernel();
+    // Level schedule (mna.hpp): no earlier than every op already touching
+    // one of the unknowns, one later when that op has another kernel.
+    int bound = 0;
+    for (int u : unknowns) {
+      const int o = last_op_[static_cast<std::size_t>(u)];
+      if (o >= 0) {
+        bound = std::max(bound, ops_[static_cast<std::size_t>(o)].kernel == kernel ? o : o + 1);
+      }
+    }
+    auto it = std::find_if(latest_.begin(), latest_.end(),
+                           [kernel](const auto& kv) { return kv.first == kernel; });
+    if (it == latest_.end()) it = latest_.insert(latest_.end(), {kernel, -1});
+    if (it->second < bound) {
+      it->second = static_cast<int>(ops_.size());
+      ops_.push_back({kernel, {}, {}});
+    }
+    const int o = it->second;
+    for (int u : unknowns) last_op_[static_cast<std::size_t>(u)] = o;
+    Op& op = ops_[static_cast<std::size_t>(o)];
+    op.index.push_back(static_cast<int>(d));
+    if (kernel == nullptr) return;
+
+    args_.unknowns = unknowns.data();
+    args_.k = static_cast<int>(unknowns.size());
+    args_.stream = &op.stream;
+    rec_[d] = static_cast<int>(op.stream.size());
+    Device* one = &dev;
+    kernel(StampPass::record, &one, 1, args_);
+    if (args_.missed) {
+      throw CircuitError("stamp program: device '" + dev.name() +
+                         "' stamps outside its declared footprint");
+    }
+  }
+
+  /// Lays the ops out back to back, every array sized exactly, resolving
+  /// each recorded entry to its CSR slot.
+  void finish(const Circuit& circuit, const MnaPattern& pattern,
+              std::vector<MnaPattern::StampOp>& ops, std::vector<Device*>& devices,
+              std::vector<int>& index, std::vector<int>& slots) const {
+    std::size_t ndev = 0, nslots = 0;
+    for (const Op& op : ops_) {
+      ndev += op.index.size();
+      nslots += op.stream.size();
+    }
+    ops.reserve(ops_.size());
+    devices.reserve(ndev);
+    index.reserve(ndev);
+    slots.reserve(nslots);
+    for (const Op& op : ops_) {
+      const auto first = static_cast<int>(index.size());
+      ops.push_back({op.kernel, first, first + static_cast<int>(op.index.size()),
+                     static_cast<int>(slots.size())});
+      index.insert(index.end(), op.index.begin(), op.index.end());
+      for (int d : op.index)
+        devices.push_back(circuit.devices()[static_cast<std::size_t>(d)].get());
+      if (op.kernel == nullptr) continue;
+      // A device's entries run from its rec_ offset to the next device's.
+      for (std::size_t i = 0; i < op.index.size(); ++i) {
+        const auto d = static_cast<std::size_t>(op.index[i]);
+        const auto end = i + 1 < op.index.size()
+                             ? rec_[static_cast<std::size_t>(op.index[i + 1])]
+                             : static_cast<int>(op.stream.size());
+        const auto table = pattern.footprint(d).slots;
+        for (int e = rec_[d]; e < end; ++e)
+          slots.push_back(table[static_cast<std::size_t>(op.stream[static_cast<std::size_t>(e)])]);
+      }
+    }
+  }
+
+ private:
+  struct Op {
+    StampKernel kernel;
+    std::vector<int> index;   ///< its devices, in device order
+    std::vector<int> stream;  ///< footprint-local entries, in stamp order
+  };
+  std::vector<Op> ops_;
+  StampArgs args_;  ///< the record pass's arguments, reused per device
+  std::vector<int> last_op_;                         ///< unknown -> latest op touching it
+  std::vector<std::pair<StampKernel, int>> latest_;  ///< kernel -> its latest op
+  std::vector<int> rec_;  ///< kernel device -> start of its entries in its op's stream
+};
+
+}  // namespace
 
 MnaPattern::MnaPattern(const Circuit& circuit) {
   if (!circuit.bound()) throw CircuitError("MnaPattern: circuit not bound");
   n_ = circuit.unknown_count();
   const auto n = static_cast<std::size_t>(n_);
   const auto& devices = circuit.devices();
+  const std::size_t ndev = devices.size();
 
-  complete_ = true;
-  footprints_.resize(devices.size());
-  std::vector<std::vector<int>> cols(n);
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    std::vector<int> u;
+  // Walk the devices once: flat footprints, and the program's schedule and
+  // stamp recording.
+  fp_ptr_.assign(ndev + 1, 0);
+  ProgramBuilder program(ndev, n_);
+  std::vector<int> u;
+  for (std::size_t d = 0; d < ndev; ++d) {
+    u.clear();
     if (!devices[d]->stamp_footprint(u)) {
-      complete_ = false;
-      break;
+      fp_ptr_.clear();
+      fp_unknowns_.clear();
+      return;  // incomplete: the circuit stays on the dense path
     }
     // Ground pins (-1) stamp nowhere; drop them along with duplicates.
     u.erase(std::remove_if(u.begin(), u.end(), [this](int i) { return i < 0 || i >= n_; }),
             u.end());
     std::sort(u.begin(), u.end());
     u.erase(std::unique(u.begin(), u.end()), u.end());
-    for (int r : u) {
-      auto& row = cols[static_cast<std::size_t>(r)];
-      row.insert(row.end(), u.begin(), u.end());
+    fp_unknowns_.insert(fp_unknowns_.end(), u.begin(), u.end());
+    fp_ptr_[d + 1] = static_cast<int>(fp_unknowns_.size());
+    program.add(d, *devices[d], u);
+  }
+  complete_ = true;
+  fp_unknowns_.shrink_to_fit();
+
+  fp_slot_ptr_.assign(ndev + 1, 0);
+  for (std::size_t d = 0; d < ndev; ++d) {
+    const int k = fp_ptr_[d + 1] - fp_ptr_[d];
+    fp_slot_ptr_[d + 1] = fp_slot_ptr_[d] + k * k;
+  }
+  fp_slots_.resize(static_cast<std::size_t>(fp_slot_ptr_[ndev]));
+
+  // Transpose: the devices whose footprint holds each unknown.
+  std::vector<int> dev_ptr(n + 1, 0);
+  for (int r : fp_unknowns_) ++dev_ptr[static_cast<std::size_t>(r) + 1];
+  std::partial_sum(dev_ptr.begin(), dev_ptr.end(), dev_ptr.begin());
+  std::vector<int> dev_of(fp_unknowns_.size());
+  {
+    std::vector<int> cursor(dev_ptr.begin(), dev_ptr.end() - 1);
+    for (std::size_t d = 0; d < ndev; ++d) {
+      for (int u : footprint(d).unknowns)
+        dev_of[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] =
+            static_cast<int>(d);
     }
-    footprints_[d].unknowns = std::move(u);
-  }
-  if (!complete_) {
-    footprints_.clear();
-    return;
   }
 
-  // Always include the full diagonal: gmin lands on node rows, and a
-  // structurally present diagonal gives the LU pivoting room on branch rows.
-  for (std::size_t i = 0; i < n; ++i) cols[i].push_back(static_cast<int>(i));
-
+  // Row by row: row r holds the union of every footprint containing r plus
+  // the diagonal (gmin lands on node rows, and a structurally present
+  // diagonal gives the LU pivoting room on branch rows). Once the row is
+  // sorted, a column -> slot map fills those footprints' row-r table rows;
+  // every pair is present by construction.
   row_ptr_.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto& row = cols[r];
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    row_ptr_[r + 1] = row_ptr_[r] + static_cast<int>(row.size());
-  }
-  col_idx_.reserve(static_cast<std::size_t>(row_ptr_[n]));
-  for (std::size_t r = 0; r < n; ++r)
-    col_idx_.insert(col_idx_.end(), cols[r].begin(), cols[r].end());
-
   diag_slot_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    diag_slot_[i] = slot(static_cast<int>(i), static_cast<int>(i));
-
-  // Compile each device's k x k slot table; every pair is present by
-  // construction.
-  for (auto& fp : footprints_) {
-    const auto k = fp.unknowns.size();
-    fp.slots.resize(k * k);
-    for (std::size_t i = 0; i < k; ++i)
+  std::vector<int> mark(n, -1), slot_of(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<int>(r);
+    const auto begin = col_idx_.size();
+    mark[r] = row;
+    col_idx_.push_back(row);
+    const auto devs_begin = dev_of.begin() + dev_ptr[r];
+    const auto devs_end = dev_of.begin() + dev_ptr[r + 1];
+    for (auto it = devs_begin; it != devs_end; ++it) {
+      for (int c : footprint(static_cast<std::size_t>(*it)).unknowns) {
+        if (mark[static_cast<std::size_t>(c)] == row) continue;
+        mark[static_cast<std::size_t>(c)] = row;
+        col_idx_.push_back(c);
+      }
+    }
+    std::sort(col_idx_.begin() + static_cast<std::ptrdiff_t>(begin), col_idx_.end());
+    for (std::size_t j = begin; j < col_idx_.size(); ++j)
+      slot_of[static_cast<std::size_t>(col_idx_[j])] = static_cast<int>(j);
+    row_ptr_[r + 1] = static_cast<int>(col_idx_.size());
+    diag_slot_[r] = slot_of[r];
+    for (auto it = devs_begin; it != devs_end; ++it) {
+      const auto d = static_cast<std::size_t>(*it);
+      const auto fp = footprint(d);
+      const auto k = fp.unknowns.size();
+      const auto li = static_cast<std::size_t>(
+          std::lower_bound(fp.unknowns.begin(), fp.unknowns.end(), row) - fp.unknowns.begin());
+      int* table = fp_slots_.data() + fp_slot_ptr_[d] + li * k;
       for (std::size_t j = 0; j < k; ++j)
-        fp.slots[i * k + j] = slot(fp.unknowns[i], fp.unknowns[j]);
+        table[j] = slot_of[static_cast<std::size_t>(fp.unknowns[j])];
+    }
   }
-}
-
-int MnaPattern::slot(int r, int c) const noexcept {
-  const auto first = col_idx_.begin() + row_ptr_[static_cast<std::size_t>(r)];
-  const auto last = col_idx_.begin() + row_ptr_[static_cast<std::size_t>(r) + 1];
-  const auto it = std::lower_bound(first, last, c);
-  if (it == last || *it != c) return -1;
-  return static_cast<int>(it - col_idx_.begin());
+  col_idx_.shrink_to_fit();
+  program.finish(circuit, *this, ops_, prog_devices_, prog_index_, prog_slots_);
 }
 
 MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int threads)
@@ -93,15 +219,14 @@ MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern, int thre
 }
 
 void MnaAssembler::compile_parallel() {
-  const auto& footprints = pattern_.footprints();
-  const auto ndev = footprints.size();
+  const auto ndev = pattern_.device_count();
   const auto n = static_cast<std::size_t>(pattern_.size());
 
   dev_block_off_.assign(ndev + 1, 0);
   dev_vec_off_.assign(ndev + 1, 0);
   std::size_t max_k = 0;
   for (std::size_t d = 0; d < ndev; ++d) {
-    const std::size_t k = footprints[d].unknowns.size();
+    const std::size_t k = pattern_.footprint(d).unknowns.size();
     dev_block_off_[d + 1] = dev_block_off_[d] + k * k;
     dev_vec_off_[d + 1] = dev_vec_off_[d] + k;
     max_k = std::max(max_k, k);
@@ -118,7 +243,8 @@ void MnaAssembler::compile_parallel() {
   // list replays the serial scatter's accumulation order exactly.
   slot_gather_ptr_.assign(pattern_.nonzeros() + 1, 0);
   row_gather_ptr_.assign(n + 1, 0);
-  for (const auto& fp : footprints) {
+  for (std::size_t d = 0; d < ndev; ++d) {
+    const auto fp = pattern_.footprint(d);
     const std::size_t k = fp.unknowns.size();
     for (std::size_t e = 0; e < k * k; ++e)
       ++slot_gather_ptr_[static_cast<std::size_t>(fp.slots[e]) + 1];
@@ -133,7 +259,7 @@ void MnaAssembler::compile_parallel() {
   std::vector<int> slot_cursor(slot_gather_ptr_.begin(), slot_gather_ptr_.end() - 1);
   std::vector<int> row_cursor(row_gather_ptr_.begin(), row_gather_ptr_.end() - 1);
   for (std::size_t d = 0; d < ndev; ++d) {
-    const auto& fp = footprints[d];
+    const auto fp = pattern_.footprint(d);
     const std::size_t k = fp.unknowns.size();
     for (std::size_t e = 0; e < k * k; ++e) {
       const auto s = static_cast<std::size_t>(fp.slots[e]);
@@ -156,46 +282,78 @@ void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector&
                             DVector& q) {
   if (threads_ > 1) {
     assemble_parallel(ctx_proto, x, f, q);
-  } else {
-    assemble_serial(ctx_proto, x, f, q);
+    return;
   }
+  std::fill(jf_vals_.begin(), jf_vals_.end(), 0.0);
+  std::fill(jq_vals_.begin(), jq_vals_.end(), 0.0);
+  run_program(StampPass::full, ctx_proto, x, f, q);
 }
 
-void MnaAssembler::assemble_serial(const EvalCtx& ctx_proto, const DVector& x,
-                                   DVector& f, DVector& q) {
+void MnaAssembler::assemble_values(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
+                                   DVector& q) {
+  run_program(StampPass::values, ctx_proto, x, f, q);
+}
+
+void MnaAssembler::run_program(StampPass pass, const EvalCtx& ctx_proto, const DVector& x,
+                               DVector& f, DVector& q) {
   const auto n = static_cast<std::size_t>(pattern_.size());
   f.assign(n, 0.0);
   q.assign(n, 0.0);
-  std::fill(jf_vals_.begin(), jf_vals_.end(), 0.0);
-  std::fill(jq_vals_.begin(), jq_vals_.end(), 0.0);
+  const bool full = pass == StampPass::full;
 
+  // Generic ops stamp through the virtual path: the sparse sink on a full
+  // pass, discarded Jacobians on a value-only one.
   EvalCtx ctx = ctx_proto;
   ctx.x = &x;
   ctx.f = &f;
   ctx.q = &q;
   ctx.jf = nullptr;
   ctx.jq = nullptr;
-  ctx.sparse = &sink_;
+  ctx.sparse = full ? &sink_ : nullptr;
   sink_.missed = 0;
 
-  const auto& devices = circuit_.devices();
-  const auto& footprints = pattern_.footprints();
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const auto& fp = footprints[d];
-    for (std::size_t i = 0; i < fp.unknowns.size(); ++i)
-      local_of_[static_cast<std::size_t>(fp.unknowns[i])] = static_cast<int>(i);
-    sink_.local_of = local_of_.data();
-    sink_.slots = fp.slots.data();
-    sink_.k = static_cast<int>(fp.unknowns.size());
-    try {
-      devices[d]->evaluate(ctx);
-    } catch (...) {
-      // Keep the scratch map clean even when a device throws: a later
-      // assemble() on this assembler must not see stale local indices.
-      for (int u : fp.unknowns) local_of_[static_cast<std::size_t>(u)] = -1;
-      throw;
+  StampArgs args;
+  args.mode = ctx.mode;
+  args.integ_c0 = ctx.integ_c0;
+  args.integ_c1 = ctx.integ_c1;
+  args.x = x.data();
+  args.f = f.data();
+  args.q = q.data();
+  args.jf = jf_vals_.data();
+  args.jq = jq_vals_.data();
+
+  const auto& devices = pattern_.program_devices();
+  const auto& index = pattern_.program_index();
+  for (const auto& op : pattern_.program()) {
+    if (op.kernel != nullptr) {
+      args.slots = pattern_.program_slots().data() + op.slots;
+      op.kernel(pass, devices.data() + op.first, static_cast<std::size_t>(op.last - op.first),
+                args);
+      continue;
     }
-    for (int u : fp.unknowns) local_of_[static_cast<std::size_t>(u)] = -1;
+    for (auto p = static_cast<std::size_t>(op.first); p < static_cast<std::size_t>(op.last);
+         ++p) {
+      Device& dev = *devices[p];
+      if (!full) {
+        dev.evaluate(ctx);
+        continue;
+      }
+      const auto fp = pattern_.footprint(static_cast<std::size_t>(index[p]));
+      for (std::size_t i = 0; i < fp.unknowns.size(); ++i)
+        local_of_[static_cast<std::size_t>(fp.unknowns[i])] = static_cast<int>(i);
+      sink_.local_of = local_of_.data();
+      sink_.slots = fp.slots.data();
+      sink_.k = static_cast<int>(fp.unknowns.size());
+      try {
+        dev.evaluate(ctx);
+      } catch (...) {
+        // Keep the scratch map clean even when a device throws: a later
+        // assemble() on this assembler must not see stale local indices.
+        for (int u : fp.unknowns) local_of_[static_cast<std::size_t>(u)] = -1;
+        throw;
+      }
+      for (int u : fp.unknowns) local_of_[static_cast<std::size_t>(u)] = -1;
+    }
   }
   if (sink_.missed > 0) {
     throw CircuitError("sparse MNA assembly: a device stamped outside the compiled "
@@ -208,7 +366,6 @@ void MnaAssembler::assemble_parallel(const EvalCtx& ctx_proto, const DVector& x,
   const auto n = static_cast<std::size_t>(pattern_.size());
   const auto nnz = pattern_.nonzeros();
   const auto& devices = circuit_.devices();
-  const auto& footprints = pattern_.footprints();
   const auto ndev = devices.size();
   f.resize(n);
   q.resize(n);
@@ -234,7 +391,7 @@ void MnaAssembler::assemble_parallel(const EvalCtx& ctx_proto, const DVector& x,
     ctx.sparse = &sink;
 
     for (std::size_t d = lo; d < hi; ++d) {
-      const auto& fp = footprints[d];
+      const auto fp = pattern_.footprint(d);
       const std::size_t k = fp.unknowns.size();
       const std::size_t boff = dev_block_off_[d];
       const std::size_t voff = dev_vec_off_[d];

@@ -1,4 +1,5 @@
-// Sparse pattern-cached MNA assembly, serial or deterministically parallel.
+// Sparse pattern-cached MNA assembly: a flat stamp program, or a
+// deterministically parallel pass.
 //
 // The stamp structure of a bound circuit is fixed: every device touches the
 // same (row, col) Jacobian entries on every Newton iteration and timestep.
@@ -9,15 +10,32 @@
 //     blocks plus the gmin diagonal is compiled into a CSR layout, and each
 //     device gets a precomputed local-slot table mapping its (row, col)
 //     pairs to flat value indices.
-//   * MnaAssembler — per-iteration assembly is then pure scatter writes
-//     into two flat value arrays (Jf, Jq): no n x n zero-fill, no
-//     reallocation, no search on the hot path. The values arrays share the
-//     pattern's CSR layout, so they feed SparseLu (common/sparse_lu.hpp)
-//     directly — and the combined Newton matrix Jf + a0*Jq is a single
-//     O(nnz) vector fuse.
+//   * The flat stamp program — compiled with the pattern, so Circuit caches
+//     it and it survives AnalysisEngine::rebind() (kernels read parameters
+//     through the device, so set_param edits need no recompile). Devices
+//     are grouped into ops: a batch of one native kernel type
+//     (Device::stamp_kernel(), spice/stamp_kernel.hpp), run as one
+//     non-virtual loop that writes straight into the CSR values through
+//     slots recorded at compile time (ground stamps skipped on the pin
+//     index), or a generic op whose devices run the virtual evaluate()
+//     through SparseStampSink. A level schedule over footprints places
+//     device d in the latest op of its kernel that runs no earlier than
+//     every op already touching one of d's unknowns (one later when that
+//     op has another kernel), else in a new op. Each unknown then sees its
+//     devices in device order, so every slot and residual row sums its
+//     contributions exactly as a device-order walk does: bit-identical to
+//     the virtual path for every device that stamps inside its footprint.
+//     A TRANSARRAY behind a source and a bus resistor compiles to 6 ops.
+//   * MnaAssembler — per-iteration assembly runs the program (serial) into
+//     two flat value arrays (Jf, Jq): no n x n zero-fill, no reallocation,
+//     no search on the hot path. The values arrays share the pattern's CSR
+//     layout, so they feed SparseLu (common/sparse_lu.hpp) directly — and
+//     the combined Newton matrix Jf + a0*Jq is a single O(nnz) vector fuse.
+//     assemble_values() runs the program's f/q-only instantiation.
 //
-// Parallel assembly (assembly threads > 1) splits one stamp pass into two
-// phases over a persistent thread pool:
+// Parallel assembly (assembly threads > 1) calls every device's virtual
+// evaluate() — it is the oracle the program is tested against — and splits
+// one stamp pass into two phases over a persistent thread pool:
 //   1. evaluate — devices are chunked across threads; each device is
 //      evaluated exactly ONCE (so stateful devices like the HDL bytecode VM
 //      never race) into a private per-device value block (its k*k Jacobian
@@ -25,7 +43,7 @@
 //      block mode;
 //   2. gather — each CSR slot / residual row is an ordered reduction over a
 //      precompiled source list that visits contributions in DEVICE ORDER,
-//      i.e. exactly the accumulation order of the serial scatter loop.
+//      i.e. exactly the accumulation order of the serial program.
 // Slot/row ranges are disjoint across threads, so the result is
 // deterministic AND bit-identical to the serial path for any thread count
 // (up to devices that stamp one entry twice in a single evaluate — none of
@@ -40,6 +58,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -62,29 +81,54 @@ class MnaPattern {
   const std::vector<int>& row_ptr() const noexcept { return row_ptr_; }
   const std::vector<int>& col_idx() const noexcept { return col_idx_; }
 
-  /// Flat value slot of entry (r, c); -1 when outside the pattern.
-  int slot(int r, int c) const noexcept;
   /// Flat value slot of diagonal entry (i, i) — always present.
   int diag_slot(int i) const noexcept { return diag_slot_[static_cast<std::size_t>(i)]; }
 
-  /// One entry per circuit device, in Circuit::devices() order.
-  struct DeviceFootprint {
-    std::vector<int> unknowns;  ///< sorted + deduped, ground filtered out
-    std::vector<int> slots;     ///< k*k table: local (row, col) -> flat slot
+  /// Device d's footprint (d in Circuit::devices() order; views into the
+  /// pattern's flat per-device arrays).
+  struct Footprint {
+    std::span<const int> unknowns;  ///< sorted + deduped, ground filtered out
+    std::span<const int> slots;     ///< k*k table: local (row, col) -> flat slot
   };
-  const std::vector<DeviceFootprint>& footprints() const noexcept { return footprints_; }
+  Footprint footprint(std::size_t d) const noexcept {
+    const auto u = static_cast<std::size_t>(fp_ptr_[d]);
+    const auto k = static_cast<std::size_t>(fp_ptr_[d + 1]) - u;
+    const auto s = static_cast<std::size_t>(fp_slot_ptr_[d]);
+    return {{fp_unknowns_.data() + u, k}, {fp_slots_.data() + s, k * k}};
+  }
+  /// Devices with a footprint: Circuit::devices().size() when complete().
+  std::size_t device_count() const noexcept {
+    return fp_ptr_.empty() ? 0 : fp_ptr_.size() - 1;
+  }
+
+  /// One op of the flat stamp program (empty when !complete()).
+  struct StampOp {
+    StampKernel kernel = nullptr;  ///< nullptr = generic op (virtual evaluate)
+    int first = 0, last = 0;       ///< range in program_devices()/program_index()
+    int slots = 0;                 ///< start of a kernel op's baked slot stream
+  };
+  const std::vector<StampOp>& program() const noexcept { return ops_; }
+  /// The devices in program order, and their Circuit::devices() indices.
+  const std::vector<Device*>& program_devices() const noexcept { return prog_devices_; }
+  const std::vector<int>& program_index() const noexcept { return prog_index_; }
+  /// Every kernel op's Jacobian slots, in stamp order.
+  const std::vector<int>& program_slots() const noexcept { return prog_slots_; }
 
  private:
   int n_ = 0;
   bool complete_ = false;
   std::vector<int> row_ptr_, col_idx_, diag_slot_;
-  std::vector<DeviceFootprint> footprints_;
+  std::vector<int> fp_ptr_, fp_unknowns_;    ///< device -> its unknowns
+  std::vector<int> fp_slot_ptr_, fp_slots_;  ///< device -> its k*k slot table
+  std::vector<StampOp> ops_;
+  std::vector<Device*> prog_devices_;
+  std::vector<int> prog_index_, prog_slots_;
 };
 
 /// Per-iteration sparse stamp pass over all devices. Owns the flat Jf/Jq
-/// value arrays (CSR layout of the pattern) and the scatter workspace; all
-/// storage — including the parallel-mode per-device blocks, gather lists,
-/// and thread pool — is allocated once at construction.
+/// value arrays (CSR layout of the pattern) and the generic ops' scatter
+/// workspace; all storage — including the parallel-mode per-device blocks,
+/// gather lists, and thread pool — is allocated once at construction.
 class MnaAssembler {
  public:
   /// The pattern must be complete() and outlive the assembler. `threads`
@@ -99,6 +143,10 @@ class MnaAssembler {
   /// or outside its own declared footprint (parallel).
   void assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q);
 
+  /// f and q only, through the program's value-only instantiation (serial
+  /// for any thread count); the Jf/Jq values are left untouched.
+  void assemble_values(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q);
+
   const MnaPattern& pattern() const noexcept { return pattern_; }
   const std::vector<double>& jf_values() const noexcept { return jf_vals_; }
   const std::vector<double>& jq_values() const noexcept { return jq_vals_; }
@@ -112,7 +160,8 @@ class MnaAssembler {
   }
 
  private:
-  void assemble_serial(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q);
+  void run_program(StampPass pass, const EvalCtx& ctx_proto, const DVector& x, DVector& f,
+                   DVector& q);
   void assemble_parallel(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
                          DVector& q);
   void compile_parallel();
@@ -120,7 +169,7 @@ class MnaAssembler {
   Circuit& circuit_;
   const MnaPattern& pattern_;
   std::vector<double> jf_vals_, jq_vals_;
-  std::vector<int> local_of_;  ///< global unknown -> active device local idx (serial)
+  std::vector<int> local_of_;  ///< global unknown -> active device local idx (generic ops)
   SparseStampSink sink_;
   int threads_ = 1;
 

@@ -74,17 +74,21 @@ void NewtonSolver::stamp(EvalCtx ctx_proto, const DVector& x, DVector& f, DVecto
 
 void NewtonSolver::stamp_values(EvalCtx ctx_proto, const DVector& x, DVector& f,
                                 DVector& q) {
-  const std::size_t n = x.size();
-  f.assign(n, 0.0);
-  q.assign(n, 0.0);
-  EvalCtx ctx = ctx_proto;
-  ctx.x = &x;
-  ctx.f = &f;
-  ctx.q = &q;
-  ctx.jf = nullptr;  // Jacobian stamps are discarded (see EvalCtx::jf_add)
-  ctx.jq = nullptr;
-  ctx.sparse = nullptr;
-  for (const auto& dev : circuit_.devices()) dev->evaluate(ctx);
+  if (assembler_) {
+    assembler_->assemble_values(ctx_proto, x, f, q);  // the program's f/q pass
+  } else {
+    const std::size_t n = x.size();
+    f.assign(n, 0.0);
+    q.assign(n, 0.0);
+    EvalCtx ctx = ctx_proto;
+    ctx.x = &x;
+    ctx.f = &f;
+    ctx.q = &q;
+    ctx.jf = nullptr;  // Jacobian stamps are discarded (see EvalCtx::jf_add)
+    ctx.jq = nullptr;
+    ctx.sparse = nullptr;
+    for (const auto& dev : circuit_.devices()) dev->evaluate(ctx);
+  }
   if (opts_.gmin > 0.0) {
     const auto nodes = static_cast<std::size_t>(circuit_.node_count());
     for (std::size_t i = 0; i < nodes; ++i) f[i] += opts_.gmin * x[i];

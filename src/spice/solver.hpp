@@ -8,7 +8,8 @@
 //
 // Two matrix backends share the stamp contract:
 //   * sparse (default above a crossover size): pattern-cached MNA assembly
-//     (spice/mna.hpp) into flat CSR value arrays + SparseLu whose symbolic
+//     (spice/mna.hpp: a flat stamp program of per-type device kernels) into
+//     flat CSR value arrays + SparseLu whose symbolic
 //     factorization is computed once and reused across all iterations and
 //     timesteps (the pattern is fixed after bind). The factorization and
 //     the triangular solves are serial; only the assembly pass can thread
@@ -98,6 +99,7 @@ class NewtonSolver {
 
   /// Evaluates f and q only; all Jacobian stamps are discarded. This is the
   /// cheap q-harvest the transient uses between steps — no n x n storage.
+  /// On the sparse backend it runs the flat stamp program's value-only pass.
   void stamp_values(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q);
 
   /// True when this solver assembles and factors sparsely.

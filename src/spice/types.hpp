@@ -29,13 +29,17 @@ enum class IntegMethod {
 };
 
 /// Sparse accumulation target, wired by the MNA assembler (spice/mna.hpp)
-/// before each device's evaluate(). Holds only raw pointers into the
-/// assembler's compiled pattern so this header stays dependency-free; the
-/// fast path is a pure indexed write into a flat values array via the
-/// active device's precomputed slot table, with a CSR binary search backing
-/// up writes that cross device footprints. (Since the HDL jq extraction
-/// went seed-local, every in-tree device stays inside its footprint and the
-/// fallback is purely a safety net for out-of-tree devices.)
+/// before a device's virtual evaluate(): the generic ops of the serial
+/// flat stamp program, and every device of the parallel pass. Native
+/// kernel types never see it; their batch functions write through slots
+/// baked at compile time (spice/stamp_kernel.hpp). Holds only raw pointers
+/// into the assembler's compiled pattern so this header stays
+/// dependency-free; the fast path is a pure indexed write into a flat
+/// values array via the active device's precomputed slot table, with a CSR
+/// binary search backing up writes that cross device footprints. (Since
+/// the HDL jq extraction went seed-local, every in-tree device stays inside
+/// its footprint and the fallback is purely a safety net for out-of-tree
+/// devices.)
 struct SparseStampSink {
   const int* local_of = nullptr;  ///< global unknown -> active device's local index (-1 = outside)
   const int* slots = nullptr;     ///< k*k local (row, col) -> flat value slot
@@ -184,13 +188,17 @@ class InternalState {
     e_prev_ = e0;
   }
 
-  /// Current value given the integrand's present value `e`.
-  double value(double e, const EvalCtx& ctx) const noexcept {
+  /// Current value given the integrand's present value `e`. `Ctx` is an
+  /// EvalCtx or one of the flat stamp program's stampers
+  /// (spice/stamp_kernel.hpp), which carry the same analysis scalars.
+  template <class Ctx>
+  double value(double e, const Ctx& ctx) const noexcept {
     if (ctx.mode != AnalysisMode::transient) return s0_;
     return s_prev_ + ctx.integ_c0 * e_prev_ + ctx.integ_c1 * e;
   }
   /// d value / d e under the step's integration formula.
-  double slope(const EvalCtx& ctx) const noexcept {
+  template <class Ctx>
+  double slope(const Ctx& ctx) const noexcept {
     return ctx.mode == AnalysisMode::transient ? ctx.integ_c1 : 0.0;
   }
 
