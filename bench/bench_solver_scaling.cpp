@@ -12,7 +12,8 @@
 // Also tracked here:
 //   * ordering quality — BM_Ordering* times SparseLu::analyze (AMD) and
 //     records the factor/fill nonzero counters, including the star-coupled
-//     transducer array whose bus is a dense row;
+//     transducer array whose bus is a dense row; BM_SymbolicCacheHit times
+//     what a fresh solver on that pattern pays when the SymbolicCache has it;
 //   * triangular solves — BM_TriangularSolve* times solve() on a chain
 //     (rc_ladder) and on a star-coupled transducer array.
 //
@@ -248,6 +249,34 @@ void BM_OrderingTransducerStarAmd(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderingTransducerStarAmd)->Arg(1000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
+
+// What a fresh solver on a seen pattern pays instead of analyze() plus a
+// pivot-searching factor(): the SymbolicCache lookup (hash plus exact
+// pattern compare), adopting the stored ordering and pivot record, and the
+// first factor() as a verified replay. `searches` counts pivot searches
+// per iteration and should read 0.
+void BM_SymbolicCacheHit(benchmark::State& state) {
+  SparseSystem sys(build("transducer_star", static_cast<int>(state.range(0))));
+  const spice::MnaPattern& p = *sys.pattern;
+  SymbolicCache cache(SymbolicCache::kProcessBudgetBytes);
+  {
+    DSparseLu first;  // the miss that stores the analysis and its pivots
+    first.analyze(p.size(), p.row_ptr(), p.col_idx(), cache);
+    first.factor(sys.jac);
+  }
+  long searches = 0;
+  for (auto _ : state) {
+    DSparseLu lu;
+    lu.analyze(p.size(), p.row_ptr(), p.col_idx(), cache);
+    lu.factor(sys.jac);
+    searches += lu.symbolic_factorizations();
+    benchmark::DoNotOptimize(lu.factor_nonzeros());
+  }
+  state.counters["unknowns"] = static_cast<double>(sys.ckt->unknown_count());
+  state.counters["searches"] =
+      static_cast<double>(searches) / static_cast<double>(std::max<long>(1, state.iterations()));
+}
+BENCHMARK(BM_SymbolicCacheHit)->Arg(2000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 // --- triangular solves -------------------------------------------------------
 

@@ -253,6 +253,7 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
   if (cards.empty()) cards.push_back({});  // default .op
 
   result.ok = true;
+  const long cache_hits0 = impl_->engine->symbolic_cache_hits();
   for (auto& card : cards) {
     AnalysisOutcome outcome;
     outcome.kind = card.kind;
@@ -295,6 +296,7 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
     }
   }
 
+  result.symbolic_cache_hit = impl_->engine->symbolic_cache_hits() > cache_hits0;
   restore();
   ++impl_->jobs;
   return result;

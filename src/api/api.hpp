@@ -13,8 +13,9 @@
 //               ("R1.r=50" against the bound circuit, no re-parse),
 //               analysis-card substitution, thread/deadline options.
 //   JobResult — per-analysis outcomes plus the provenance counters
-//               (parsed/bound/rebound, symbolic factorization count) the
-//               server's /stats and the warm-cache tests key on.
+//               (parsed/bound/rebound, symbolic factorization count,
+//               symbolic cache hit) the server's /stats and the
+//               warm-cache tests key on.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +99,10 @@ struct JobResult {
   bool bound = false;    ///< a fresh bind + pattern compile happened
   bool rebound = false;  ///< rebind() ran (parameter-override delta)
   int symbolic_factorizations = 0;  ///< summed over the job's analyses
+  /// The job built a solver whose sparse analysis (ordering and pivot
+  /// record) came from the process-wide SymbolicCache rather than being
+  /// computed: a cold or delta job on a topology the process had seen.
+  bool symbolic_cache_hit = false;
 };
 
 /// Uniform tabular view of a finished analysis: .op is one row of node

@@ -5,7 +5,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace usys {
@@ -71,25 +73,41 @@ UnixConn UnixConn::connect_to(const std::string& path) {
   return UnixConn(fd);
 }
 
-bool UnixConn::read_line(std::string& line, int timeout_ms) {
-  if (fd_ < 0) return false;
+UnixConn::ReadStatus UnixConn::read_line_bounded(std::string& line, int timeout_ms,
+                                                std::size_t max_bytes) {
+  if (fd_ < 0) return ReadStatus::failed;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::size_t scanned = 0;  // rbuf_ bytes already searched for '\n'
   for (;;) {
-    const std::size_t nl = rbuf_.find('\n');
+    const std::size_t nl = rbuf_.find('\n', scanned);
     if (nl != std::string::npos) {
+      if (max_bytes > 0 && nl > max_bytes) return ReadStatus::too_long;
       line.assign(rbuf_, 0, nl);
       rbuf_.erase(0, nl + 1);
-      return true;
+      return ReadStatus::ok;
     }
-    const int ev = poll_one(fd_, POLLIN, timeout_ms);
-    if (ev <= 0) return false;  // timeout or poll error
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    scanned = rbuf_.size();
+    if (max_bytes > 0 && rbuf_.size() > max_bytes) return ReadStatus::too_long;
+    int wait_ms = -1;
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+      if (left.count() <= 0) return ReadStatus::failed;
+      wait_ms = static_cast<int>(left.count());
+    }
+    if (poll_one(fd_, POLLIN, wait_ms) <= 0) return ReadStatus::failed;  // timeout or error
+    // Reads stop one byte past max_bytes: enough to tell a too-long line.
+    const std::size_t have = rbuf_.size();
+    std::size_t chunk = 64 * 1024;
+    if (max_bytes > 0) chunk = std::min(chunk, max_bytes + 1 - have);
+    rbuf_.resize(have + chunk);
+    const ssize_t n = ::recv(fd_, rbuf_.data() + have, chunk, 0);
+    rbuf_.resize(have + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadStatus::failed;
     }
-    if (n == 0) return false;  // EOF with no complete line
-    rbuf_.append(chunk, static_cast<std::size_t>(n));
+    if (n == 0) return ReadStatus::failed;  // EOF with no complete line
   }
 }
 

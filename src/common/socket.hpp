@@ -40,10 +40,21 @@ class UnixConn {
   bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
+  enum class ReadStatus { ok, failed, too_long };
+
   /// Reads one '\n'-terminated line (newline stripped) into `line`.
-  /// Blocks up to `timeout_ms` (-1 = forever) for each underlying read.
-  /// Returns false on EOF before a complete line, timeout, or error.
-  bool read_line(std::string& line, int timeout_ms = -1);
+  /// `timeout_ms` bounds the whole line, however the peer paces its bytes
+  /// (-1 = forever). `max_bytes` bounds the line's length (0 = unbounded):
+  /// a longer line is `too_long` as soon as max_bytes + 1 bytes have
+  /// arrived without a newline, and nothing past them is read.
+  /// Each received byte is scanned once. `failed` covers EOF before a
+  /// complete line, the timeout and socket errors.
+  ReadStatus read_line_bounded(std::string& line, int timeout_ms, std::size_t max_bytes);
+
+  /// read_line_bounded without a length bound; false unless a line arrived.
+  bool read_line(std::string& line, int timeout_ms = -1) {
+    return read_line_bounded(line, timeout_ms, 0) == ReadStatus::ok;
+  }
 
   /// Writes the whole buffer; short writes are retried. SIGPIPE-safe: a
   /// closed peer yields `false`, never a signal.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/deadline.hpp"
@@ -23,78 +24,18 @@ constexpr double kAbsPivotFloor = 1e-300;
 /// values smoothly and rarely trip this; wholesale value changes do.
 constexpr double kPivotGrowthLimit = 1e3;
 
-}  // namespace
-
-template <typename T>
-void SparseLu<T>::analyze(int n, const std::vector<int>& row_ptr,
-                          const std::vector<int>& col_idx) {
+void check_dimensions(int n, const std::vector<int>& row_ptr) {
   if (n < 0 || row_ptr.size() != static_cast<std::size_t>(n) + 1)
     throw std::invalid_argument("SparseLu::analyze: bad pattern dimensions");
-  n_ = n;
-  const std::size_t nnz = col_idx.size();
-
-  // Column counts -> CSC pointers.
-  col_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int c : col_idx) col_ptr_[static_cast<std::size_t>(c) + 1]++;
-  for (int j = 0; j < n; ++j) col_ptr_[j + 1] += col_ptr_[j];
-
-  // Fill CSC row indices and the CSR-slot -> CSC-slot mapping.
-  row_idx_.assign(nnz, 0);
-  csc_of_csr_.assign(nnz, 0);
-  std::vector<int> next(col_ptr_.begin(), col_ptr_.end() - 1);
-  for (int r = 0; r < n; ++r) {
-    for (int s = row_ptr[r]; s < row_ptr[r + 1]; ++s) {
-      const int c = col_idx[static_cast<std::size_t>(s)];
-      const int p = next[static_cast<std::size_t>(c)]++;
-      row_idx_[static_cast<std::size_t>(p)] = r;
-      csc_of_csr_[static_cast<std::size_t>(s)] = p;
-    }
-  }
-  csc_vals_.assign(nnz, T{});
-
-  amd_order();
-
-  factored_ = false;
-  symbolic_count_ = 0;
-
-  x_.assign(static_cast<std::size_t>(n), T{});
-  xi_.assign(static_cast<std::size_t>(n), 0);
-  stack_.assign(static_cast<std::size_t>(n), 0);
-  pstack_.assign(static_cast<std::size_t>(n), 0);
-  visited_.assign(static_cast<std::size_t>(n), 0);
 }
 
-template <typename T>
-void SparseLu<T>::factor(const std::vector<T>& csr_vals) {
-  if (!analyzed()) throw std::logic_error("SparseLu::factor before analyze");
-  if (csr_vals.size() != csc_of_csr_.size())
-    throw std::invalid_argument("SparseLu::factor: value count != pattern nonzeros");
-  if (deadline_ != nullptr) deadline_->check("SparseLu::factor");
-  if (USYS_FAULT_POINT("sparse_lu.singular")) throw SingularMatrixError(0);
-  for (std::size_t s = 0; s < csr_vals.size(); ++s)
-    csc_vals_[static_cast<std::size_t>(csc_of_csr_[s])] = csr_vals[s];
-  // Row max-scaling: factor (R A) instead of A so pivot comparisons are
-  // scale-free across natures and across large value drifts within a row.
-  rscale_.assign(static_cast<std::size_t>(n_), 0.0);
-  for (std::size_t p = 0; p < csc_vals_.size(); ++p) {
-    const auto r = static_cast<std::size_t>(row_idx_[p]);
-    rscale_[r] = std::max(rscale_[r], std::abs(csc_vals_[p]));
-  }
-  for (auto& s : rscale_) s = (s > 0.0) ? 1.0 / s : 1.0;
-  for (std::size_t p = 0; p < csc_vals_.size(); ++p)
-    csc_vals_[p] *= rscale_[static_cast<std::size_t>(row_idx_[p])];
-  if (factored_ && refactor()) return;
-  factor_full();
-}
-
-template <typename T>
-std::vector<std::vector<int>> SparseLu<T>::symmetrized_adjacency() const {
-  const int n = n_;
+std::vector<std::vector<int>> symmetrized_adjacency(const LuSymbolic& s) {
+  const int n = s.n;
   std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
-    for (int p = col_ptr_[static_cast<std::size_t>(j)];
-         p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      const int i = row_idx_[static_cast<std::size_t>(p)];
+    for (int p = s.col_ptr[static_cast<std::size_t>(j)];
+         p < s.col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
+      const int i = s.row_idx[static_cast<std::size_t>(p)];
       if (i != j) {
         adj[static_cast<std::size_t>(i)].push_back(j);
         adj[static_cast<std::size_t>(j)].push_back(i);
@@ -133,20 +74,20 @@ std::vector<std::vector<int>> SparseLu<T>::symmetrized_adjacency() const {
 /// Determinism: candidates live in an ordered (degree, index) set, merges
 /// keep the smallest index as principal, and all adjacency lists stay
 /// sorted — the same pattern yields the same permutation everywhere.
-template <typename T>
-void SparseLu<T>::amd_order() {
-  const int n = n_;
-  q_.clear();
-  q_.reserve(static_cast<std::size_t>(n));
+void amd_order(LuSymbolic& s) {
+  const int n = s.n;
+  std::vector<int>& q = s.q;
+  q.clear();
+  q.reserve(static_cast<std::size_t>(n));
   if (n == 0) return;
 
   // Quotient-graph role. kAbsorbed covers variables merged into a
   // supervariable, mass-eliminated variables and postponed dense rows:
   // all are out of the graph (scrubbed from or filtered out of every live
-  // adjacency) while their indices are emitted through q_.
+  // adjacency) while their indices are emitted through q.
   enum : char { kLive, kElement, kAbsorbed, kDead };
   std::vector<char> state(static_cast<std::size_t>(n), kLive);
-  std::vector<std::vector<int>> vlist = symmetrized_adjacency();  // variable nbrs
+  std::vector<std::vector<int>> vlist = symmetrized_adjacency(s);  // variable nbrs
   std::vector<std::vector<int>> elist(static_cast<std::size_t>(n));  // element nbrs
   std::vector<std::vector<int>> epat(static_cast<std::size_t>(n));   // element patterns
   std::vector<std::vector<int>> merged(static_cast<std::size_t>(n));
@@ -159,7 +100,7 @@ void SparseLu<T>::amd_order() {
     if (it != v.end() && *it == value) v.erase(it);
   };
 
-  // Dense rows leave the graph before the first pivot; q_ gets them last.
+  // Dense rows leave the graph before the first pivot; q gets them last.
   const double dense_cut = std::max(16.0, 10.0 * std::sqrt(static_cast<double>(n)));
   std::vector<int> dense;
   for (int i = 0; i < n; ++i)
@@ -207,7 +148,7 @@ void SparseLu<T>::amd_order() {
     while (!emit_stack.empty()) {
       const int u = emit_stack.back();
       emit_stack.pop_back();
-      q_.push_back(u);
+      q.push_back(u);
       const auto& m = merged[static_cast<std::size_t>(u)];
       for (auto it = m.rbegin(); it != m.rend(); ++it) emit_stack.push_back(*it);
     }
@@ -363,30 +304,334 @@ void SparseLu<T>::amd_order() {
     if (epat[sp].empty()) state[sp] = kDead;
   }
 
-  q_.insert(q_.end(), dense.begin(), dense.end());
-  if (q_.size() != static_cast<std::size_t>(n))
+  q.insert(q.end(), dense.begin(), dense.end());
+  if (q.size() != static_cast<std::size_t>(n))
     throw std::logic_error("SparseLu: AMD ordering dropped variables");
 }
 
+/// CSC copy, slot mapping and AMD order of a CSR pattern.
+std::shared_ptr<LuSymbolic> build_symbolic(int n, const std::vector<int>& row_ptr,
+                                           const std::vector<int>& col_idx) {
+  auto sym = std::make_shared<LuSymbolic>();
+  LuSymbolic& s = *sym;
+  s.n = n;
+  const std::size_t nnz = col_idx.size();
+
+  // Column counts -> CSC pointers.
+  s.col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int c : col_idx) s.col_ptr[static_cast<std::size_t>(c) + 1]++;
+  for (int j = 0; j < n; ++j) s.col_ptr[j + 1] += s.col_ptr[j];
+
+  // Fill CSC row indices and the CSR-slot -> CSC-slot mapping.
+  s.row_idx.assign(nnz, 0);
+  s.csc_of_csr.assign(nnz, 0);
+  std::vector<int> next(s.col_ptr.begin(), s.col_ptr.end() - 1);
+  for (int r = 0; r < n; ++r) {
+    for (int k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const int c = col_idx[static_cast<std::size_t>(k)];
+      const int p = next[static_cast<std::size_t>(c)]++;
+      s.row_idx[static_cast<std::size_t>(p)] = r;
+      s.csc_of_csr[static_cast<std::size_t>(k)] = p;
+    }
+  }
+
+  amd_order(s);
+  return sym;
+}
+
+/// Transposes the recorded L/U patterns into row-major views (index maps
+/// into lx/ux, so refactorizations keep them valid).
+void build_row_views(int n, LuPivots& r) {
+  const auto sn = static_cast<std::size_t>(n);
+
+  // L^T rows, skipping each column's leading unit diagonal. Columns are
+  // visited in ascending order, so every row's entries come out sorted by
+  // column — a fixed per-row gather order.
+  r.lt_ptr.assign(sn + 1, 0);
+  for (int j = 0; j < n; ++j)
+    for (int p = r.lp[static_cast<std::size_t>(j)] + 1;
+         p < r.lp[static_cast<std::size_t>(j) + 1]; ++p)
+      ++r.lt_ptr[static_cast<std::size_t>(r.li[static_cast<std::size_t>(p)]) + 1];
+  for (std::size_t i = 0; i < sn; ++i) r.lt_ptr[i + 1] += r.lt_ptr[i];
+  r.lt_idx.assign(static_cast<std::size_t>(r.lt_ptr[sn]), 0);
+  r.lt_map.assign(static_cast<std::size_t>(r.lt_ptr[sn]), 0);
+  {
+    std::vector<int> cur(r.lt_ptr.begin(), r.lt_ptr.end() - 1);
+    for (int j = 0; j < n; ++j) {
+      for (int p = r.lp[static_cast<std::size_t>(j)] + 1;
+           p < r.lp[static_cast<std::size_t>(j) + 1]; ++p) {
+        const auto row = static_cast<std::size_t>(r.li[static_cast<std::size_t>(p)]);
+        const auto slot = static_cast<std::size_t>(cur[row]++);
+        r.lt_idx[slot] = j;
+        r.lt_map[slot] = p;
+      }
+    }
+  }
+
+  // U^T rows, skipping each column's trailing diagonal.
+  r.ut_ptr.assign(sn + 1, 0);
+  for (int j = 0; j < n; ++j)
+    for (int p = r.up[static_cast<std::size_t>(j)];
+         p < r.up[static_cast<std::size_t>(j) + 1] - 1; ++p)
+      ++r.ut_ptr[static_cast<std::size_t>(r.ui[static_cast<std::size_t>(p)]) + 1];
+  for (std::size_t i = 0; i < sn; ++i) r.ut_ptr[i + 1] += r.ut_ptr[i];
+  r.ut_idx.assign(static_cast<std::size_t>(r.ut_ptr[sn]), 0);
+  r.ut_map.assign(static_cast<std::size_t>(r.ut_ptr[sn]), 0);
+  {
+    std::vector<int> cur(r.ut_ptr.begin(), r.ut_ptr.end() - 1);
+    for (int j = 0; j < n; ++j) {
+      for (int p = r.up[static_cast<std::size_t>(j)];
+           p < r.up[static_cast<std::size_t>(j) + 1] - 1; ++p) {
+        const auto row = static_cast<std::size_t>(r.ui[static_cast<std::size_t>(p)]);
+        const auto slot = static_cast<std::size_t>(cur[row]++);
+        r.ut_idx[slot] = j;
+        r.ut_map[slot] = p;
+      }
+    }
+  }
+}
+
+/// The SymbolicCache key: FNV-1a over the pattern's 32-bit words.
+std::uint64_t pattern_hash(int n, const std::vector<int>& row_ptr,
+                           const std::vector<int>& col_idx) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  mix(static_cast<std::uint32_t>(n));
+  mix(col_idx.size());
+  for (int v : row_ptr) mix(static_cast<std::uint32_t>(v));
+  for (int v : col_idx) mix(static_cast<std::uint32_t>(v));
+  return h;
+}
+
+std::size_t int_bytes(const std::vector<int>& v) { return v.size() * sizeof(int); }
+
+std::size_t pivots_bytes(const LuPivots* r) {
+  if (r == nullptr) return 0;
+  return sizeof(LuPivots) + int_bytes(r->pinv) + int_bytes(r->lp) + int_bytes(r->li) +
+         int_bytes(r->up) + int_bytes(r->ui) + int_bytes(r->rank) + int_bytes(r->lt_ptr) +
+         int_bytes(r->lt_idx) + int_bytes(r->lt_map) + int_bytes(r->ut_ptr) +
+         int_bytes(r->ut_idx) + int_bytes(r->ut_map);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SymbolicCache
+// ---------------------------------------------------------------------------
+
+SymbolicCache& SymbolicCache::process() {
+  static SymbolicCache instance(kProcessBudgetBytes);
+  return instance;
+}
+
+SymbolicCache::Stats SymbolicCache::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats s = stats_;
+  s.entries = lru_.size();
+  return s;
+}
+
+void SymbolicCache::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  index_.clear();
+  lru_.clear();
+  stats_ = Stats{};
+}
+
+SymbolicCache::Found SymbolicCache::find(std::uint64_t key, const std::vector<int>& row_ptr,
+                                         const std::vector<int>& col_idx) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [first, last] = index_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    const Entry& e = *it->second;
+    if (e.row_ptr != row_ptr || e.col_idx != col_idx) continue;  // a hash collision
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++stats_.hits;
+    return {e.symbolic, e.pivots};
+  }
+  ++stats_.misses;
+  return {};
+}
+
+void SymbolicCache::insert(std::uint64_t key, const std::vector<int>& row_ptr,
+                           const std::vector<int>& col_idx,
+                           std::shared_ptr<const LuSymbolic> symbolic) {
+  const LuSymbolic& s = *symbolic;
+  Entry entry{key, row_ptr, col_idx, std::move(symbolic), nullptr, 0};
+  entry.bytes = sizeof(Entry) + int_bytes(row_ptr) + int_bytes(col_idx) +
+                sizeof(LuSymbolic) + int_bytes(s.col_ptr) + int_bytes(s.row_idx) +
+                int_bytes(s.csc_of_csr) + int_bytes(s.q);
+  if (entry.bytes > budget_) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  // A concurrent miss on the same pattern may have stored it first.
+  const auto [first, last] = index_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    const Entry& e = *it->second;
+    if (e.row_ptr == row_ptr && e.col_idx == col_idx) return;
+  }
+  stats_.bytes += entry.bytes;
+  lru_.push_front(std::move(entry));
+  index_.emplace(key, lru_.begin());
+  shrink_to_budget(lru_.begin());
+}
+
+void SymbolicCache::record_pivots(std::uint64_t key, const LuSymbolic* symbolic,
+                                  std::shared_ptr<const LuPivots> pivots) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [first, last] = index_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    Entry& e = *it->second;
+    if (e.symbolic.get() != symbolic) continue;
+    const std::size_t bytes =
+        e.bytes - pivots_bytes(e.pivots.get()) + pivots_bytes(pivots.get());
+    if (bytes > budget_) return;  // keep the entry without a pivot record
+    stats_.bytes = stats_.bytes - e.bytes + bytes;
+    e.bytes = bytes;
+    e.pivots = std::move(pivots);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    shrink_to_budget(lru_.begin());
+    return;
+  }
+}
+
+void SymbolicCache::shrink_to_budget(Lru::iterator keep) {
+  while (stats_.bytes > budget_ && std::prev(lru_.end()) != keep) {
+    erase(std::prev(lru_.end()));
+    ++stats_.evictions;
+  }
+}
+
+void SymbolicCache::erase(Lru::iterator victim) {
+  const auto [first, last] = index_.equal_range(victim->key);
+  for (auto it = first; it != last; ++it) {
+    if (it->second == victim) {
+      index_.erase(it);
+      break;
+    }
+  }
+  stats_.bytes -= victim->bytes;
+  lru_.erase(victim);
+}
+
+// ---------------------------------------------------------------------------
+// SparseLu
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void SparseLu<T>::analyze(int n, const std::vector<int>& row_ptr,
+                          const std::vector<int>& col_idx) {
+  check_dimensions(n, row_ptr);
+  sym_ = build_symbolic(n, row_ptr, col_idx);
+  cache_ = nullptr;
+  record_pending_ = false;
+  reset_numeric();
+}
+
+template <typename T>
+bool SparseLu<T>::analyze(int n, const std::vector<int>& row_ptr,
+                          const std::vector<int>& col_idx, SymbolicCache& cache) {
+  check_dimensions(n, row_ptr);
+  const std::uint64_t key = pattern_hash(n, row_ptr, col_idx);
+  SymbolicCache::Found found = cache.find(key, row_ptr, col_idx);
+  const bool hit = found.symbolic != nullptr;
+  if (hit) {
+    sym_ = std::move(found.symbolic);
+  } else {
+    sym_ = build_symbolic(n, row_ptr, col_idx);
+    cache.insert(key, row_ptr, col_idx, sym_);
+  }
+  reset_numeric();
+  cache_ = &cache;
+  cache_key_ = key;
+  // Pivot records are real-valued: the AC sweep's complex solver shares
+  // only the ordering.
+  record_pending_ = std::is_same_v<T, double>;
+  if (record_pending_ && found.pivots != nullptr) {
+    piv_ = std::move(found.pivots);
+    lx_.assign(piv_->li.size(), T{});
+    ux_.assign(piv_->ui.size(), T{});
+    for (int jj = 0; jj < n; ++jj) lx_[static_cast<std::size_t>(piv_->lp[jj])] = T(1);
+  }
+  return hit;
+}
+
+template <typename T>
+void SparseLu<T>::reset_numeric() {
+  const auto n = static_cast<std::size_t>(sym_->n);
+  csc_vals_.assign(sym_->csc_of_csr.size(), T{});
+  piv_.reset();
+  factored_ = false;
+  symbolic_count_ = 0;
+  x_.assign(n, T{});
+  xi_.assign(n, 0);
+  stack_.assign(n, 0);
+  pstack_.assign(n, 0);
+  visited_.assign(n, 0);
+}
+
+template <typename T>
+const std::vector<int>& SparseLu<T>::ordering() const noexcept {
+  static const std::vector<int> kNone;
+  return sym_ ? sym_->q : kNone;
+}
+
+template <typename T>
+void SparseLu<T>::factor(const std::vector<T>& csr_vals) {
+  if (!analyzed()) throw std::logic_error("SparseLu::factor before analyze");
+  const LuSymbolic& s = *sym_;
+  if (csr_vals.size() != s.csc_of_csr.size())
+    throw std::invalid_argument("SparseLu::factor: value count != pattern nonzeros");
+  if (deadline_ != nullptr) deadline_->check("SparseLu::factor");
+  if (USYS_FAULT_POINT("sparse_lu.singular")) throw SingularMatrixError(0);
+  for (std::size_t k = 0; k < csr_vals.size(); ++k)
+    csc_vals_[static_cast<std::size_t>(s.csc_of_csr[k])] = csr_vals[k];
+  // Row max-scaling: factor (R A) instead of A so pivot comparisons are
+  // scale-free across natures and across large value drifts within a row.
+  rscale_.assign(static_cast<std::size_t>(s.n), 0.0);
+  for (std::size_t p = 0; p < csc_vals_.size(); ++p) {
+    const auto r = static_cast<std::size_t>(s.row_idx[p]);
+    rscale_[r] = std::max(rscale_[r], std::abs(csc_vals_[p]));
+  }
+  for (auto& v : rscale_) v = (v > 0.0) ? 1.0 / v : 1.0;
+  for (std::size_t p = 0; p < csc_vals_.size(); ++p)
+    csc_vals_[p] *= rscale_[static_cast<std::size_t>(s.row_idx[p])];
+  // A recorded pivot order is either this solver's own (refactor) or one
+  // adopted from the cache and not yet checked against these values.
+  if (piv_ != nullptr && refactor(!factored_)) {
+    factored_ = true;
+    record_pending_ = false;
+    return;
+  }
+  factor_full();
+  if (record_pending_) {
+    record_pending_ = false;
+    cache_->record_pivots(cache_key_, sym_.get(), piv_);
+  }
+}
+
 /// DFS over the partial-L graph: node i's children are the sub-diagonal
-/// entries of L's column pinv_[i] (not-yet-pivotal nodes are leaves).
+/// entries of L's column pinv[i] (not-yet-pivotal nodes are leaves).
 /// Finished nodes land in xi_[top-1 .. ] in topological order.
 template <typename T>
-int SparseLu<T>::dfs_reach(int start, int top) {
+int SparseLu<T>::dfs_reach(const LuPivots& rec, int start, int top) {
   int head = 0;
   stack_[0] = start;
   while (head >= 0) {
     const int i = stack_[static_cast<std::size_t>(head)];
-    const int col = pinv_[static_cast<std::size_t>(i)];
+    const int col = rec.pinv[static_cast<std::size_t>(i)];
     if (!visited_[static_cast<std::size_t>(i)]) {
       visited_[static_cast<std::size_t>(i)] = 1;
-      pstack_[static_cast<std::size_t>(head)] = (col < 0) ? 0 : lp_[static_cast<std::size_t>(col)] + 1;
+      pstack_[static_cast<std::size_t>(head)] =
+          (col < 0) ? 0 : rec.lp[static_cast<std::size_t>(col)] + 1;
     }
     bool descended = false;
     if (col >= 0) {
-      const int end = lp_[static_cast<std::size_t>(col) + 1];
+      const int end = rec.lp[static_cast<std::size_t>(col) + 1];
       for (int p = pstack_[static_cast<std::size_t>(head)]; p < end; ++p) {
-        const int child = li_[static_cast<std::size_t>(p)];
+        const int child = rec.li[static_cast<std::size_t>(p)];
         if (!visited_[static_cast<std::size_t>(child)]) {
           pstack_[static_cast<std::size_t>(head)] = p + 1;
           stack_[static_cast<std::size_t>(++head)] = child;
@@ -405,64 +650,71 @@ int SparseLu<T>::dfs_reach(int start, int top) {
 
 template <typename T>
 void SparseLu<T>::factor_full() {
-  const int n = n_;
-  pinv_.assign(static_cast<std::size_t>(n), -1);
-  lp_.assign(static_cast<std::size_t>(n) + 1, 0);
-  up_.assign(static_cast<std::size_t>(n) + 1, 0);
-  li_.clear();
-  lx_.clear();
-  ui_.clear();
-  ux_.clear();
+  const LuSymbolic& s = *sym_;
+  const int n = s.n;
+  piv_.reset();
   factored_ = false;
+  auto rec = std::make_shared<LuPivots>();
+  LuPivots& r = *rec;
+  r.pinv.assign(static_cast<std::size_t>(n), -1);
+  r.lp.assign(static_cast<std::size_t>(n) + 1, 0);
+  r.up.assign(static_cast<std::size_t>(n) + 1, 0);
+  r.rank.assign(static_cast<std::size_t>(n), 0);
+  lx_.clear();
+  ux_.clear();
 
   for (int jj = 0; jj < n; ++jj) {
-    const int j = q_[static_cast<std::size_t>(jj)];  // column eliminated at position jj
-    lp_[static_cast<std::size_t>(jj)] = static_cast<int>(li_.size());
-    up_[static_cast<std::size_t>(jj)] = static_cast<int>(ui_.size());
+    const int j = s.q[static_cast<std::size_t>(jj)];  // column eliminated at position jj
+    r.lp[static_cast<std::size_t>(jj)] = static_cast<int>(r.li.size());
+    r.up[static_cast<std::size_t>(jj)] = static_cast<int>(r.ui.size());
 
     // Reach of A(:,j) in the partial-L graph (original row space).
     int top = n;
-    for (int p = col_ptr_[static_cast<std::size_t>(j)];
-         p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      const int i = row_idx_[static_cast<std::size_t>(p)];
-      if (!visited_[static_cast<std::size_t>(i)]) top = dfs_reach(i, top);
+    for (int p = s.col_ptr[static_cast<std::size_t>(j)];
+         p < s.col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
+      const int i = s.row_idx[static_cast<std::size_t>(p)];
+      if (!visited_[static_cast<std::size_t>(i)]) top = dfs_reach(r, i, top);
     }
 
     // Numeric sparse triangular solve x = L \ A(:,j).
     for (int p = top; p < n; ++p) x_[static_cast<std::size_t>(xi_[static_cast<std::size_t>(p)])] = T{};
-    for (int p = col_ptr_[static_cast<std::size_t>(j)];
-         p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-      x_[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(p)])] =
+    for (int p = s.col_ptr[static_cast<std::size_t>(j)];
+         p < s.col_ptr[static_cast<std::size_t>(j) + 1]; ++p)
+      x_[static_cast<std::size_t>(s.row_idx[static_cast<std::size_t>(p)])] =
           csc_vals_[static_cast<std::size_t>(p)];
     for (int px = top; px < n; ++px) {
       const int i = xi_[static_cast<std::size_t>(px)];
-      const int col = pinv_[static_cast<std::size_t>(i)];
+      const int col = r.pinv[static_cast<std::size_t>(i)];
       if (col < 0) continue;  // not yet pivotal: stays an L candidate
       const T xv = x_[static_cast<std::size_t>(i)];
       if (xv != T{}) {
-        const int end = lp_[static_cast<std::size_t>(col) + 1];
-        for (int p = lp_[static_cast<std::size_t>(col)] + 1; p < end; ++p)
-          x_[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
+        const int end = r.lp[static_cast<std::size_t>(col) + 1];
+        for (int p = r.lp[static_cast<std::size_t>(col)] + 1; p < end; ++p)
+          x_[static_cast<std::size_t>(r.li[static_cast<std::size_t>(p)])] -=
               lx_[static_cast<std::size_t>(p)] * xv;
       }
     }
 
     // Harvest U entries (already-pivotal rows, topological order) and find
-    // the partial pivot among the rest.
+    // the partial pivot among the rest: the first candidate of maximum
+    // magnitude in visiting order, whose rank replay() re-checks.
     int ipiv = -1;
     double amax = -1.0;
+    int candidates = 0;
     for (int px = top; px < n; ++px) {
       const int i = xi_[static_cast<std::size_t>(px)];
-      const int pos = pinv_[static_cast<std::size_t>(i)];
+      const int pos = r.pinv[static_cast<std::size_t>(i)];
       if (pos >= 0) {
-        ui_.push_back(pos);
+        r.ui.push_back(pos);
         ux_.push_back(x_[static_cast<std::size_t>(i)]);
       } else {
         const double m = std::abs(x_[static_cast<std::size_t>(i)]);
         if (m > amax) {
           amax = m;
           ipiv = i;
+          r.rank[static_cast<std::size_t>(jj)] = candidates;
         }
+        ++candidates;
       }
     }
     if (ipiv < 0 || amax < kAbsPivotFloor) {
@@ -475,152 +727,136 @@ void SparseLu<T>::factor_full() {
       throw SingularMatrixError(static_cast<std::size_t>(j));
     }
     const T pivot = x_[static_cast<std::size_t>(ipiv)];
-    ui_.push_back(jj);  // diagonal stored last within the column
+    r.ui.push_back(jj);  // diagonal stored last within the column
     ux_.push_back(pivot);
-    pinv_[static_cast<std::size_t>(ipiv)] = jj;
-    li_.push_back(ipiv);  // unit diagonal of L stored first
+    r.pinv[static_cast<std::size_t>(ipiv)] = jj;
+    r.li.push_back(ipiv);  // unit diagonal of L stored first
     lx_.push_back(T(1));
     for (int px = top; px < n; ++px) {
       const int i = xi_[static_cast<std::size_t>(px)];
-      if (pinv_[static_cast<std::size_t>(i)] < 0) {
-        li_.push_back(i);
+      if (r.pinv[static_cast<std::size_t>(i)] < 0) {
+        r.li.push_back(i);
         lx_.push_back(x_[static_cast<std::size_t>(i)] / pivot);
       }
       visited_[static_cast<std::size_t>(i)] = 0;
       x_[static_cast<std::size_t>(i)] = T{};
     }
   }
-  lp_[static_cast<std::size_t>(n)] = static_cast<int>(li_.size());
-  up_[static_cast<std::size_t>(n)] = static_cast<int>(ui_.size());
+  r.lp[static_cast<std::size_t>(n)] = static_cast<int>(r.li.size());
+  r.up[static_cast<std::size_t>(n)] = static_cast<int>(r.ui.size());
 
   // Remap L's row indices from original to pivotal space; from here on the
   // whole factorization lives in pivotal coordinates.
-  for (auto& i : li_) i = pinv_[static_cast<std::size_t>(i)];
+  for (auto& i : r.li) i = r.pinv[static_cast<std::size_t>(i)];
 
-  build_row_views();
+  build_row_views(n, r);
 
+  piv_ = std::move(rec);
   factored_ = true;
   ++symbolic_count_;
 }
 
 /// Replays the recorded pivot order column by column. A false return means
-/// a reused pivot degraded; the scratch is cleared and the caller re-runs
-/// the full pivoting factorization.
+/// the order cannot stand for these values; the scratch is cleared and the
+/// caller re-runs the full pivoting factorization.
+///
+/// The column arithmetic is factor_full's, operation for operation: the
+/// same scatter, the same U updates in the recorded (topological) order,
+/// the same divisions. So if every earlier column holds factor_full's
+/// values, this column does too. With `verify_pivots` (an adopted record),
+/// each column also re-runs factor_full's first-max selection over the
+/// candidates in their recorded visiting order and requires it to land on
+/// the recorded pivot; by induction over the columns an accepted replay is
+/// then bit-identical to a fresh factor_full, and a rejected one costs a
+/// search. Without it (this solver's own record, values drifting along a
+/// Newton or time loop), a pivot may sit below the best candidate as long
+/// as its multipliers stay within kPivotGrowthLimit.
 template <typename T>
-bool SparseLu<T>::refactor() {
-  const int n = n_;
+bool SparseLu<T>::refactor(bool verify_pivots) {
+  const LuSymbolic& s = *sym_;
+  const LuPivots& r = *piv_;
+  const int n = s.n;
   T* const x = x_.data();  // all-zero on entry and after every good column
-  const auto degraded = [&] {
+  const auto rejected = [&] {
     x_.assign(static_cast<std::size_t>(n), T{});
     return false;
   };
   for (int jj = 0; jj < n; ++jj) {
-    const int j = q_[static_cast<std::size_t>(jj)];
+    const int j = s.q[static_cast<std::size_t>(jj)];
     // Scatter A(:,j) into pivotal space. The reach of the recorded symbolic
     // factorization is a superset of A's pattern, so the clears below cover
     // every scattered slot.
-    for (int p = col_ptr_[static_cast<std::size_t>(j)];
-         p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-      x[pinv_[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(p)])]] =
+    for (int p = s.col_ptr[static_cast<std::size_t>(j)];
+         p < s.col_ptr[static_cast<std::size_t>(j) + 1]; ++p)
+      x[r.pinv[static_cast<std::size_t>(s.row_idx[static_cast<std::size_t>(p)])]] =
           csc_vals_[static_cast<std::size_t>(p)];
 
     // Replay the column's U entries in their recorded (topological) order.
-    const int u_end = up_[static_cast<std::size_t>(jj) + 1] - 1;  // diagonal excluded
-    for (int p = up_[static_cast<std::size_t>(jj)]; p < u_end; ++p) {
-      const int k = ui_[static_cast<std::size_t>(p)];
+    const int u_end = r.up[static_cast<std::size_t>(jj) + 1] - 1;  // diagonal excluded
+    for (int p = r.up[static_cast<std::size_t>(jj)]; p < u_end; ++p) {
+      const int k = r.ui[static_cast<std::size_t>(p)];
       const T ukj = x[k];
       ux_[static_cast<std::size_t>(p)] = ukj;
       x[k] = T{};
       if (ukj != T{}) {
-        const int end = lp_[static_cast<std::size_t>(k) + 1];
-        for (int q = lp_[static_cast<std::size_t>(k)] + 1; q < end; ++q)
-          x[li_[static_cast<std::size_t>(q)]] -= lx_[static_cast<std::size_t>(q)] * ukj;
+        const int end = r.lp[static_cast<std::size_t>(k) + 1];
+        for (int q = r.lp[static_cast<std::size_t>(k)] + 1; q < end; ++q)
+          x[r.li[static_cast<std::size_t>(q)]] -= lx_[static_cast<std::size_t>(q)] * ukj;
       }
+    }
+
+    const int l_first = r.lp[static_cast<std::size_t>(jj)] + 1;  // unit diagonal skipped
+    const int l_end = r.lp[static_cast<std::size_t>(jj) + 1];
+    if (verify_pivots) {
+      // Candidates in visiting order: the L entries before the pivot's
+      // rank, the pivot (pivotal row jj), then the remaining L entries.
+      const int rank = r.rank[static_cast<std::size_t>(jj)];
+      double amax = -1.0;
+      int chosen = -1;
+      for (int c = 0; c <= l_end - l_first; ++c) {
+        const int row = c < rank    ? r.li[static_cast<std::size_t>(l_first + c)]
+                        : c == rank ? jj
+                                    : r.li[static_cast<std::size_t>(l_first + c - 1)];
+        const double m = std::abs(x[row]);
+        if (std::isnan(m)) return rejected();
+        if (m > amax) {
+          amax = m;
+          chosen = c;
+        }
+      }
+      if (chosen != rank) return rejected();
     }
 
     const T pivot = x[jj];
     x[jj] = T{};
     const double apiv = std::abs(pivot);
     if (apiv < kAbsPivotFloor)
-      return degraded();  // pivot order no longer viable; re-run full pivoting
+      return rejected();  // pivot order no longer viable; re-run full pivoting
     ux_[static_cast<std::size_t>(u_end)] = pivot;
-    const int l_end = lp_[static_cast<std::size_t>(jj) + 1];
-    for (int q = lp_[static_cast<std::size_t>(jj)] + 1; q < l_end; ++q) {
-      const int i = li_[static_cast<std::size_t>(q)];
+    for (int q = l_first; q < l_end; ++q) {
+      const int i = r.li[static_cast<std::size_t>(q)];
       const T v = x[i];
       x[i] = T{};
       if (std::abs(v) > kPivotGrowthLimit * apiv)
-        return degraded();  // multiplier blow-up: pivot degraded
+        return rejected();  // multiplier blow-up: pivot degraded
       lx_[static_cast<std::size_t>(q)] = v / pivot;
     }
   }
   return true;
 }
 
-/// Transposes the recorded L/U patterns into row-major views (index maps
-/// into lx_/ux_, so refactorizations keep them valid).
-template <typename T>
-void SparseLu<T>::build_row_views() {
-  const int n = n_;
-  const auto sn = static_cast<std::size_t>(n);
-
-  // L^T rows, skipping each column's leading unit diagonal. Columns are
-  // visited in ascending order, so every row's entries come out sorted by
-  // column — a fixed per-row gather order.
-  lt_ptr_.assign(sn + 1, 0);
-  for (int j = 0; j < n; ++j)
-    for (int p = lp_[static_cast<std::size_t>(j)] + 1;
-         p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-      ++lt_ptr_[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)]) + 1];
-  for (std::size_t i = 0; i < sn; ++i) lt_ptr_[i + 1] += lt_ptr_[i];
-  lt_idx_.assign(static_cast<std::size_t>(lt_ptr_[sn]), 0);
-  lt_map_.assign(static_cast<std::size_t>(lt_ptr_[sn]), 0);
-  {
-    std::vector<int> cur(lt_ptr_.begin(), lt_ptr_.end() - 1);
-    for (int j = 0; j < n; ++j) {
-      for (int p = lp_[static_cast<std::size_t>(j)] + 1;
-           p < lp_[static_cast<std::size_t>(j) + 1]; ++p) {
-        const auto r = static_cast<std::size_t>(li_[static_cast<std::size_t>(p)]);
-        const auto slot = static_cast<std::size_t>(cur[r]++);
-        lt_idx_[slot] = j;
-        lt_map_[slot] = p;
-      }
-    }
-  }
-
-  // U^T rows, skipping each column's trailing diagonal.
-  ut_ptr_.assign(sn + 1, 0);
-  for (int j = 0; j < n; ++j)
-    for (int p = up_[static_cast<std::size_t>(j)];
-         p < up_[static_cast<std::size_t>(j) + 1] - 1; ++p)
-      ++ut_ptr_[static_cast<std::size_t>(ui_[static_cast<std::size_t>(p)]) + 1];
-  for (std::size_t i = 0; i < sn; ++i) ut_ptr_[i + 1] += ut_ptr_[i];
-  ut_idx_.assign(static_cast<std::size_t>(ut_ptr_[sn]), 0);
-  ut_map_.assign(static_cast<std::size_t>(ut_ptr_[sn]), 0);
-  {
-    std::vector<int> cur(ut_ptr_.begin(), ut_ptr_.end() - 1);
-    for (int j = 0; j < n; ++j) {
-      for (int p = up_[static_cast<std::size_t>(j)];
-           p < up_[static_cast<std::size_t>(j) + 1] - 1; ++p) {
-        const auto r = static_cast<std::size_t>(ui_[static_cast<std::size_t>(p)]);
-        const auto slot = static_cast<std::size_t>(cur[r]++);
-        ut_idx_[slot] = j;
-        ut_map_[slot] = p;
-      }
-    }
-  }
-}
-
 template <typename T>
 void SparseLu<T>::solve(std::vector<T>& b) const {
   if (!factored_) throw std::logic_error("SparseLu::solve before factor");
-  if (b.size() != static_cast<std::size_t>(n_))
+  const LuSymbolic& s = *sym_;
+  const LuPivots& r = *piv_;
+  if (b.size() != static_cast<std::size_t>(s.n))
     throw std::invalid_argument("SparseLu::solve: rhs size mismatch");
   if (deadline_ != nullptr) deadline_->check("SparseLu::solve");
-  const int n = n_;
+  const int n = s.n;
   tmp_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    tmp_[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])] =
+    tmp_[static_cast<std::size_t>(r.pinv[static_cast<std::size_t>(i)])] =
         b[static_cast<std::size_t>(i)] * rscale_[static_cast<std::size_t>(i)];
 
   // Forward: L y = P b. Row-gather over L^T (unit diagonal implicit):
@@ -628,10 +864,10 @@ void SparseLu<T>::solve(std::vector<T>& b) const {
   T* const t = tmp_.data();
   for (int j = 0; j < n; ++j) {
     T acc = t[j];
-    for (int p = lt_ptr_[static_cast<std::size_t>(j)];
-         p < lt_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-      acc -= lx_[static_cast<std::size_t>(lt_map_[static_cast<std::size_t>(p)])] *
-             t[lt_idx_[static_cast<std::size_t>(p)]];
+    for (int p = r.lt_ptr[static_cast<std::size_t>(j)];
+         p < r.lt_ptr[static_cast<std::size_t>(j) + 1]; ++p)
+      acc -= lx_[static_cast<std::size_t>(r.lt_map[static_cast<std::size_t>(p)])] *
+             t[r.lt_idx[static_cast<std::size_t>(p)]];
     t[j] = acc;
   }
 
@@ -639,16 +875,16 @@ void SparseLu<T>::solve(std::vector<T>& b) const {
   // x_j = (y_j - sum_{k>j} U(j,k) x_k) / U(j,j).
   for (int j = n; j-- > 0;) {
     T acc = t[j];
-    for (int p = ut_ptr_[static_cast<std::size_t>(j)];
-         p < ut_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
-      acc -= ux_[static_cast<std::size_t>(ut_map_[static_cast<std::size_t>(p)])] *
-             t[ut_idx_[static_cast<std::size_t>(p)]];
-    t[j] = acc / ux_[static_cast<std::size_t>(up_[static_cast<std::size_t>(j) + 1]) - 1];
+    for (int p = r.ut_ptr[static_cast<std::size_t>(j)];
+         p < r.ut_ptr[static_cast<std::size_t>(j) + 1]; ++p)
+      acc -= ux_[static_cast<std::size_t>(r.ut_map[static_cast<std::size_t>(p)])] *
+             t[r.ut_idx[static_cast<std::size_t>(p)]];
+    t[j] = acc / ux_[static_cast<std::size_t>(r.up[static_cast<std::size_t>(j) + 1]) - 1];
   }
 
-  // Undo the fill-reducing column permutation: position j solved unknown q_[j].
+  // Undo the fill-reducing column permutation: position j solved unknown q[j].
   for (int j = 0; j < n; ++j)
-    b[static_cast<std::size_t>(q_[static_cast<std::size_t>(j)])] =
+    b[static_cast<std::size_t>(s.q[static_cast<std::size_t>(j)])] =
         tmp_[static_cast<std::size_t>(j)];
 }
 

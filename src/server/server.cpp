@@ -17,6 +17,7 @@
 #include "common/deadline.hpp"
 #include "common/json.hpp"
 #include "common/socket.hpp"
+#include "common/sparse_lu.hpp"
 #include "server/protocol.hpp"
 
 namespace usys::server {
@@ -96,6 +97,10 @@ std::string StatsSnapshot::to_json() const {
   num("evictions", static_cast<double>(evictions));
   num("cooled", static_cast<double>(cooled));
   num("symbolic_factorizations", static_cast<double>(symbolic_factorizations));
+  num("symbolic_cache_hits", static_cast<double>(symbolic_cache_hits));
+  num("symbolic_cache_misses", static_cast<double>(symbolic_cache_misses));
+  num("symbolic_cache_evictions", static_cast<double>(symbolic_cache_evictions));
+  num("symbolic_cache_bytes", static_cast<double>(symbolic_cache_bytes));
   num("queue_depth", queue_depth);
   num("engines_cached", engines_cached);
   num("engines_warm", engines_warm);
@@ -163,8 +168,21 @@ struct SimServer::Impl {
   }
 
   void handle_connection(UnixConn conn) {
+    // The accept thread serves one connection at a time, so the read is
+    // bounded in both time (the whole line, not each poll) and size.
     std::string line;
-    if (!conn.read_line(line, opts.accept_timeout_ms)) return;  // slow/gone client
+    const UnixConn::ReadStatus status =
+        conn.read_line_bounded(line, opts.accept_timeout_ms, kMaxRequestBytes);
+    if (status == UnixConn::ReadStatus::too_long) {
+      conn.write_all(error_frame(2, "bad-request",
+                                 "request line exceeds " +
+                                     std::to_string(kMaxRequestBytes) + " bytes") +
+                     "\n");
+      std::lock_guard<std::mutex> lock(mu);
+      ++counters.bad_requests;
+      return;
+    }
+    if (status != UnixConn::ReadStatus::ok) return;  // slow/gone client
     Request req;
     std::string error;
     if (!parse_request(line, req, error)) {
@@ -661,6 +679,11 @@ struct SimServer::Impl {
       if (entry->session->warm()) ++s.engines_warm;
       entry->run_mu.unlock();
     }
+    const SymbolicCache::Stats sc = SymbolicCache::process().stats();
+    s.symbolic_cache_hits = sc.hits;
+    s.symbolic_cache_misses = sc.misses;
+    s.symbolic_cache_evictions = sc.evictions;
+    s.symbolic_cache_bytes = static_cast<long>(sc.bytes);
     s.uptime_s = ms_since(started_at) / 1000.0;
     s.jobs_per_s = s.uptime_s > 0.0 ? s.jobs_completed / s.uptime_s : 0.0;
     if (!latency_ring.empty()) {

@@ -21,10 +21,16 @@
 //   * /stats: jobs/s, cache hit rates, queue depth, p50/p99 latency.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
 namespace usys::server {
+
+/// Longest request line the server reads (bytes, newline excluded). A
+/// longer one is answered with a bad-request frame and counted in
+/// bad_requests; nothing past it is buffered.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{16} << 20;
 
 struct ServerOptions {
   std::string socket_path;
@@ -32,7 +38,7 @@ struct ServerOptions {
   int queue_capacity = 16;       ///< queued (not yet running) jobs before busy
   int engine_cache_capacity = 8; ///< warm sessions; up to 2x kept cooled
   int result_cache_capacity = 32;
-  int accept_timeout_ms = 2000;  ///< budget for a client to send its request
+  int accept_timeout_ms = 2000;  ///< budget for a client to send its whole request line
 };
 
 /// Point-in-time statistics (also serialized as the stats frame).
@@ -50,7 +56,15 @@ struct StatsSnapshot {
   long result_hits = 0;   ///< replayed from the result cache
   long evictions = 0;     ///< sessions fully dropped from the engine cache
   long cooled = 0;        ///< sessions demoted to the cool tier
-  long symbolic_factorizations = 0;  ///< summed over all executed jobs
+  long symbolic_factorizations = 0;  ///< pivot searches run, summed over all executed jobs
+  /// The process-wide SymbolicCache (common/sparse_lu.hpp): analyses
+  /// adopted, analyses computed, entries evicted to stay within its fixed
+  /// byte budget, and bytes currently held. Process-wide, so in-process
+  /// callers sharing the cache with the server count here too.
+  long symbolic_cache_hits = 0;
+  long symbolic_cache_misses = 0;
+  long symbolic_cache_evictions = 0;
+  long symbolic_cache_bytes = 0;
   int queue_depth = 0;
   int engines_cached = 0;
   int engines_warm = 0;  ///< idle cached sessions holding warm solver state

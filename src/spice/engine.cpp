@@ -66,6 +66,7 @@ NewtonSolver& AnalysisEngine::solver_for(const NewtonOptions& opts) {
     solver_ = std::make_unique<NewtonSolver>(circuit_, opts);
     solver_opts_ = opts;
     regime_ = FactorRegime::none;
+    if (solver_->symbolic_cache_hit()) ++symbolic_cache_hits_;
   } else {
     solver_->retune(opts);
   }
@@ -77,8 +78,11 @@ void AnalysisEngine::enter_regime(NewtonSolver& solver, FactorRegime regime) {
   // numerical regimes; a pivot order recorded in one can silently degrade in
   // the other. Crossing the boundary pivots afresh — which also makes every
   // run bit-identical to the legacy fresh-solver-per-analysis path — while
-  // same-regime reruns (warm sweeps) keep the recorded order.
-  if (regime_ != regime) solver.refresh_pivot_order();
+  // same-regime reruns (warm sweeps) keep the recorded order. A fresh
+  // solver (regime none) has no order of its own; the one it may have
+  // adopted from the symbolic cache is verified column by column on its
+  // first factorization, so it cannot make results depend on history.
+  if (regime_ != FactorRegime::none && regime_ != regime) solver.refresh_pivot_order();
   regime_ = regime;
 }
 
@@ -580,13 +584,14 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
 
   if (solver.sparse_active()) {
     // Sparse sweep: (Jf + jw Jq) shares the real pattern, so the complex LU
-    // runs its symbolic factorization once and numerically refactors per
-    // frequency point.
+    // takes the real solver's ordering from the symbolic cache, runs its
+    // symbolic factorization once and numerically refactors per frequency
+    // point.
     const MnaPattern& pattern = *solver.pattern();
     const std::vector<double>& jfv = solver.sparse_jf();
     const std::vector<double>& jqv = solver.sparse_jq();
     ZSparseLu zlu;
-    zlu.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
+    zlu.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx(), SymbolicCache::process());
     if (dl.active()) zlu.set_deadline(&dl);
     std::vector<std::complex<double>> avals(pattern.nonzeros());
     for (double fr : freqs) {

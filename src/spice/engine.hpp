@@ -74,6 +74,10 @@ class AnalysisEngine {
   /// FailureKind::lint_rejected result instead of attempting a solve.
   const LintReport& preflight() const noexcept { return preflight_; }
 
+  /// Solvers this engine built whose sparse analysis came from the
+  /// process-wide SymbolicCache (NewtonSolver::symbolic_cache_hit).
+  long symbolic_cache_hits() const noexcept { return symbolic_cache_hits_; }
+
  private:
   /// The engine's one solver, (re)built only on backend-config changes and
   /// re-tuned in place otherwise.
@@ -95,6 +99,7 @@ class AnalysisEngine {
   std::unique_ptr<NewtonSolver> solver_;
   NewtonOptions solver_opts_;  ///< options solver_ was built with
   FactorRegime regime_ = FactorRegime::none;
+  long symbolic_cache_hits_ = 0;
 };
 
 }  // namespace usys::spice

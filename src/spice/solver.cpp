@@ -25,7 +25,8 @@ NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
     const MnaPattern& pattern = circuit_.mna_pattern();
     if (pattern.complete()) {
       assembler_ = std::make_unique<MnaAssembler>(circuit_, pattern, opts_.assembly_threads);
-      lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
+      symbolic_cache_hit_ = lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx(),
+                                        SymbolicCache::process());
       jac_vals_.resize(pattern.nonzeros());
     }
   }

@@ -11,7 +11,9 @@
 //     (spice/mna.hpp: a flat stamp program of per-type device kernels) into
 //     flat CSR value arrays + SparseLu whose symbolic
 //     factorization is computed once and reused across all iterations and
-//     timesteps (the pattern is fixed after bind). The factorization and
+//     timesteps (the pattern is fixed after bind). The analysis goes through
+//     the process-wide SymbolicCache, so a solver on a pattern some other
+//     solver has seen adopts its ordering and verified pivot order. The factorization and
 //     the triangular solves are serial; only the assembly pass can thread
 //     (NewtonOptions::assembly_threads).
 //   * dense: the original n x n path, kept for small systems (lower
@@ -117,6 +119,11 @@ class NewtonSolver {
 
   int symbolic_factorizations() const noexcept { return lu_.symbolic_factorizations(); }
 
+  /// True when the sparse analysis was adopted from the process-wide
+  /// SymbolicCache (another solver had analyzed the same pattern) instead
+  /// of being computed here.
+  bool symbolic_cache_hit() const noexcept { return symbolic_cache_hit_; }
+
   /// Drops the sparse LU's recorded pivot order (no-op on the dense path),
   /// so the next solve pivots afresh. The engine calls this at the DC ->
   /// transient boundary: the transient matrix Jf + a0*Jq is a different
@@ -168,6 +175,7 @@ class NewtonSolver {
   DMatrix jf_, jq_, jacobian_;          // dense backend only
   std::unique_ptr<MnaAssembler> assembler_;  // sparse backend only
   DSparseLu lu_;
+  bool symbolic_cache_hit_ = false;
   std::vector<double> jac_vals_;
   const Deadline* deadline_ = nullptr;  ///< non-owning; see set_deadline
 };

@@ -7,12 +7,14 @@
 // the same hash, result-cache replay, the parameter-delta rebind path vs a
 // cold run of the edited netlist, queue saturation -> structured busy
 // rejection, client disconnect mid-stream cancelling via the job's
-// CancelToken, per-job deadlines (exit 3), bad-request handling, engine
-// cache eviction/cooling, and /stats self-consistency.
+// CancelToken, per-job deadlines (exit 3), bad-request handling (including
+// trickled and oversize request lines), engine cache eviction/cooling, and
+// /stats self-consistency.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -26,6 +28,7 @@
 #include "spice/stats.hpp"
 #include "spice/sweep.hpp"
 #include "common/socket.hpp"
+#include "common/sparse_lu.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 
@@ -240,6 +243,69 @@ TEST(Server, InvalidThreadsFieldIsRejectedAndDaemonKeepsServing) {
   EXPECT_TRUE(done->get_bool("ok"));
 }
 
+TEST(Server, TricklingClientIsDroppedWithinTheRequestBudget) {
+  ServerOptions opts = small_server("trickle");
+  opts.accept_timeout_ms = 300;
+  TestServer ts(opts);
+  ASSERT_TRUE(ts.started);
+
+  // One byte every 50 ms: every poll sees data, but the line never
+  // completes. The budget covers the whole line, so the server drops the
+  // connection after 300 ms instead of serving it for the 10 s it trickles.
+  const auto t0 = Clock::now();
+  UnixConn slow = UnixConn::connect_to(ts.server.socket_path());
+  ASSERT_TRUE(slow.valid());
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    const std::string partial = R"({"v":1,"op":"ping")";
+    for (std::size_t i = 0; i < 200 && !stop; ++i) {
+      if (!slow.write_all(&partial[i % partial.size()], 1)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+
+  // A second client queues behind the trickler on the accept thread.
+  Request ping;
+  ping.op = Request::Op::ping;
+  const auto frames = submit(ts.server, ping);
+  const auto served_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(parse_frame(frames[0]).get_string("frame"), "pong");
+  EXPECT_LT(served_ms, 3000.0);
+
+  std::string line;
+  EXPECT_FALSE(slow.read_line(line, 5000));  // the server closed the trickler
+  const auto dropped_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  EXPECT_LT(dropped_ms, 3000.0);
+  stop = true;
+  trickler.join();
+}
+
+TEST(Server, OversizeRequestLineIsRejectedAndDaemonKeepsServing) {
+  TestServer ts(small_server("big"));
+  ASSERT_TRUE(ts.started);
+
+  UnixConn conn = UnixConn::connect_to(ts.server.socket_path());
+  ASSERT_TRUE(conn.valid());
+  const std::string big(kMaxRequestBytes + 1, 'x');  // no newline in sight
+  ASSERT_TRUE(conn.write_all(big));
+  std::string reply;
+  ASSERT_TRUE(conn.read_line(reply, 30000));
+  JsonValue e = parse_frame(reply);
+  EXPECT_EQ(e.get_string("frame"), "error");
+  EXPECT_EQ(e.get_string("kind"), "bad-request");
+  EXPECT_EQ(e.get_number("code"), 2.0);
+  EXPECT_FALSE(conn.read_line(reply, 30000));
+  EXPECT_TRUE(wait_for_stats(
+      ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 1; }));
+
+  auto done = find_frame(submit(ts.server, run_request(kRcNetlist)), "done");
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(done->get_bool("ok"));
+}
+
 // --- cache tiers -------------------------------------------------------------
 
 TEST(Server, ColdThenWarmSameHashIsBitIdentical) {
@@ -278,6 +344,56 @@ TEST(Server, ColdThenWarmSameHashIsBitIdentical) {
   EXPECT_EQ(s.parses, 1);
   EXPECT_EQ(s.exact_hits, 1);
   EXPECT_EQ(s.result_hits, 0);
+}
+
+std::string array_netlist(const char* drive) {
+  return std::string("* array\nV1 drive 0 ") + drive +
+         "\nRb drive bus 10\n"
+         "Xarr bus 0 TRANSARRAY n=100 a=1e-8 d=2e-6 m=1e-9 k=25 alpha=1e-4 dspread=0.1\n"
+         ".op\n.end\n";
+}
+
+TEST(Server, ColdJobsOnOneTopologyShareTheSymbolicAnalysis) {
+  // Two drives are two netlists, so two cold parses: the second job's
+  // solver adopts the first one's analysis from the process-wide cache
+  // and replays its pivot order instead of searching.
+  SymbolicCache::process().clear();
+  std::vector<std::string> second_frames;
+  {
+    TestServer ts(small_server("symc"));
+    ASSERT_TRUE(ts.started);
+    const auto first = submit(ts.server, run_request(array_netlist("1")));
+    second_frames = submit(ts.server, run_request(array_netlist("2")));
+    auto first_done = find_frame(first, "done");
+    auto second_done = find_frame(second_frames, "done");
+    ASSERT_TRUE(first_done.has_value() && second_done.has_value());
+    EXPECT_TRUE(second_done->get_bool("ok"));
+    EXPECT_EQ(first_done->get_number("symbolic"), 1.0);
+    EXPECT_EQ(second_done->get_number("symbolic"), 0.0);
+    const StatsSnapshot s = ts.server.stats();
+    EXPECT_EQ(s.parses, 2);
+    EXPECT_EQ(s.symbolic_cache_misses, 1);
+    EXPECT_EQ(s.symbolic_cache_hits, 1);
+    EXPECT_EQ(s.symbolic_cache_evictions, 0);
+    EXPECT_GT(s.symbolic_cache_bytes, 0);
+
+    Request stats_req;
+    stats_req.op = Request::Op::stats;
+    const auto frames = submit(ts.server, stats_req);
+    ASSERT_EQ(frames.size(), 1u);
+    JsonValue wire = parse_frame(frames[0]);
+    EXPECT_EQ(wire.get_number("symbolic_cache_hits"), 1.0);
+    EXPECT_EQ(wire.get_number("symbolic_cache_misses"), 1.0);
+    EXPECT_EQ(wire.get_number("symbolic_cache_evictions"), 0.0);
+    EXPECT_GT(wire.get_number("symbolic_cache_bytes"), 0.0);
+  }
+  // The oracle: the same job on an empty cache, in a fresh server.
+  SymbolicCache::process().clear();
+  TestServer cold(small_server("symo"));
+  ASSERT_TRUE(cold.started);
+  const auto oracle = submit(cold.server, run_request(array_netlist("2")));
+  EXPECT_EQ(find_frame(oracle, "done")->get_number("symbolic"), 1.0);
+  EXPECT_EQ(payload_frames(second_frames), payload_frames(oracle));
 }
 
 TEST(Server, ResultCacheReplaysByteIdenticalFrames) {

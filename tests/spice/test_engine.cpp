@@ -2,8 +2,9 @@
 // across analyses and a fresh engine per analysis (the api:: one-shot
 // functions) at 1e-12 on the relay pull-in and interpreted-HDL circuits;
 // determinism of the parallel MNA assembly (N-thread results bit-identical
-// to serial); rebind() after device-parameter changes; and the SweepRunner
-// batch path.
+// to serial); rebind() after device-parameter changes; a fresh engine whose
+// analysis came from the symbolic cache against a cold one, bit for bit;
+// and the SweepRunner batch path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -175,6 +176,7 @@ TEST(AnalysisEngine, ParityHdlListing1) {
 }
 
 TEST(AnalysisEngine, ReportsPerRunSymbolicFactorizations) {
+  SymbolicCache::process().clear();  // a cold pattern: no cached pivots to replay
   auto ckt = transducer_array(30);
   AnalysisEngine engine(*ckt);
   DcOptions opts;
@@ -188,6 +190,111 @@ TEST(AnalysisEngine, ReportsPerRunSymbolicFactorizations) {
   ASSERT_TRUE(second.converged);
   EXPECT_EQ(second.symbolic_factorizations, 0);
   EXPECT_LT(rel_diff(first.x, second.x), 1e-15);
+}
+
+// --- symbolic cache: a cache-hit engine against a cold one -------------------
+
+void expect_same_tran(const TranResult& a, const TranResult& b) {
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(a.time, b.time);
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t k = 0; k < a.x.size(); ++k) EXPECT_EQ(a.x[k], b.x[k]) << "step " << k;
+}
+
+void expect_same_ac(const AcResult& a, const AcResult& b) {
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(a.freq, b.freq);
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t k = 0; k < a.x.size(); ++k) EXPECT_EQ(a.x[k], b.x[k]) << "point " << k;
+}
+
+TEST(SymbolicCache, TransArraySessionHitIsBitIdenticalToColdSession) {
+  const std::string netlist =
+      "* cache bit-identity\n"
+      "V1 drive 0 PULSE(0 5 1u 1u 1u 3u 8u) AC 1\n"
+      "Rb drive bus 10\n"
+      "Xarr bus 0 TRANSARRAY n=200 a=1e-8 d=2e-6 m=1e-9 k=25 alpha=1e-4 dspread=0.1\n"
+      ".op\n"
+      ".tran 0.1u 4u\n"
+      ".ac dec 5 1k 1g\n"
+      ".end\n";
+  SymbolicCache::process().clear();
+  api::Session cold_session(netlist);
+  const api::JobResult cold = cold_session.run();
+  api::Session hit_session(netlist);
+  const api::JobResult hit = hit_session.run();
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_TRUE(hit.ok) << hit.error;
+  EXPECT_FALSE(cold.symbolic_cache_hit);
+  EXPECT_TRUE(hit.symbolic_cache_hit);
+  // The hit job's operating points replay the recorded pivots instead of
+  // searching; the transient regime still searches once.
+  EXPECT_LT(hit.symbolic_factorizations, cold.symbolic_factorizations);
+  ASSERT_EQ(cold.analyses.size(), 3u);
+  ASSERT_EQ(hit.analyses.size(), 3u);
+  EXPECT_TRUE(cold.analyses[0].op.used_sparse);
+  EXPECT_EQ(cold.analyses[0].op.x, hit.analyses[0].op.x);
+  EXPECT_EQ(hit.analyses[0].op.symbolic_factorizations, 0);
+  expect_same_tran(cold.analyses[1].tran, hit.analyses[1].tran);
+  expect_same_ac(cold.analyses[2].ac, hit.analyses[2].ac);
+}
+
+struct EngineRun {
+  long cache_hits = 0;
+  OpResult op;
+  TranResult tran;
+  AcResult ac;
+};
+
+/// .op, .tran and .ac on one fresh engine, every analysis forced sparse
+/// (these circuits are below the auto-select crossover).
+EngineRun run_forced_sparse(Circuit& ckt, double tstop, double dt) {
+  DcOptions dc;
+  dc.newton.backend = MatrixBackend::sparse;
+  TranOptions tran;
+  tran.tstop = tstop;
+  tran.dt_init = dt;
+  tran.dt_max = dt;
+  tran.newton.backend = MatrixBackend::sparse;
+  tran.dc.newton.backend = MatrixBackend::sparse;
+  AcOptions ac;
+  ac.points = 10;
+  ac.dc.newton.backend = MatrixBackend::sparse;
+  AnalysisEngine engine(ckt);
+  EngineRun run;
+  run.op = engine.run_op(dc);
+  run.tran = engine.run_tran(tran);
+  run.ac = engine.run_ac(ac);
+  run.cache_hits = engine.symbolic_cache_hits();
+  return run;
+}
+
+void expect_hit_engine_matches_cold(const CircuitBuilder& build, double tstop, double dt) {
+  SymbolicCache::process().clear();
+  auto ckt_cold = build();
+  const EngineRun cold = run_forced_sparse(*ckt_cold, tstop, dt);
+  auto ckt_hit = build();
+  const EngineRun hit = run_forced_sparse(*ckt_hit, tstop, dt);
+  EXPECT_EQ(cold.cache_hits, 0);
+  EXPECT_EQ(hit.cache_hits, 1);
+  ASSERT_TRUE(cold.op.converged);
+  ASSERT_TRUE(hit.op.converged);
+  EXPECT_TRUE(hit.op.used_sparse);
+  EXPECT_EQ(cold.op.x, hit.op.x);
+  EXPECT_EQ(cold.op.symbolic_factorizations, 1);
+  EXPECT_EQ(hit.op.symbolic_factorizations, 0);
+  expect_same_tran(cold.tran, hit.tran);
+  expect_same_ac(cold.ac, hit.ac);
+}
+
+TEST(SymbolicCache, RelayHitEngineIsBitIdenticalToColdEngine) {
+  expect_hit_engine_matches_cold([] { return relay(6.0); }, 4e-3, 2e-5);
+}
+
+TEST(SymbolicCache, HdlHitEngineIsBitIdenticalToColdEngine) {
+  expect_hit_engine_matches_cold(hdl_resonator, 5e-3, 5e-5);
 }
 
 TEST(AnalysisEngine, RebindPicksUpParameterChanges) {

@@ -138,6 +138,9 @@ void expect_dc_parity(const CircuitBuilder& build) {
   auto ckt_d = build();
   const DcResult rd = api::solve_dc(*ckt_d, dense);
   auto ckt_s = build();
+  // A cold pattern: an earlier test's solver on the same circuit would
+  // have left a pivot record that this one replays (0 searches).
+  SymbolicCache::process().clear();
   const DcResult rs = api::solve_dc(*ckt_s, sparse);
 
   ASSERT_TRUE(rd.converged);
