@@ -5,9 +5,6 @@
 // We time the identical Fig. 3 transient several ways:
 //   native        — hand-coded C++ TransverseElectrostatic device
 //   hdl           — bytecode-compiled HDL-AT Listing 1 (BytecodeVm, default)
-//   hdl_codegen   — natively compiled Listing 1 (HdlExecMode::codegen: the
-//                   bytecode program translated to C++, built once per model
-//                   shape, dlopen'd; skipped when no host compiler exists)
 //   hdl_energy    — bytecode-compiled energy-complete model (one more term)
 //   hdl_ast       — the AST tree walker (HdlExecMode::ast): the paper's
 //                   interpreted path, kept as the reference for the 10x figure
@@ -78,36 +75,6 @@ void BM_HdlListing1(benchmark::State& state) {
     benchmark::DoNotOptimize(run_hdl(hdl::stdlib::paper_listing1(), "eletran"));
 }
 BENCHMARK(BM_HdlListing1)->Unit(benchmark::kMillisecond);
-
-/// Pre-flight for the codegen series: bind one Listing 1 instance and check
-/// the native object actually loaded. Checking compiler_available() alone is
-/// not enough — a compile failure would silently fall back to the VM and the
-/// benchmark would record VM time under the codegen label, poisoning the CI
-/// trajectory.
-bool codegen_ready() {
-  spice::Circuit ckt;
-  const int drive = ckt.add_node("drive", Nature::electrical);
-  const int vel = ckt.add_node("vel", Nature::mechanical_translation);
-  ckt.add_device(hdl::instantiate(
-      "XT", hdl::stdlib::paper_listing1(), "eletran",
-      {{"A", 1e-4}, {"d", 0.15e-3}, {"er", 1.0}},
-      {drive, spice::Circuit::kGround, vel, spice::Circuit::kGround},
-      hdl::HdlExecMode::codegen));
-  ckt.bind_all();
-  auto* dev = dynamic_cast<hdl::HdlDevice*>(ckt.find_device("XT"));
-  return dev != nullptr && dev->codegen_active();
-}
-
-void BM_HdlListing1Codegen(benchmark::State& state) {
-  if (!codegen_ready()) {
-    state.SkipWithError("HDL codegen unavailable (no compiler or compile failed)");
-    return;
-  }
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_hdl(hdl::stdlib::paper_listing1(), "eletran",
-                                     hdl::HdlExecMode::codegen));
-}
-BENCHMARK(BM_HdlListing1Codegen)->Unit(benchmark::kMillisecond);
 
 void BM_HdlEnergyComplete(benchmark::State& state) {
   for (auto _ : state)
@@ -183,15 +150,6 @@ void BM_StampHdl(benchmark::State& state) {
 }
 BENCHMARK(BM_StampHdl);
 
-void BM_StampHdlCodegen(benchmark::State& state) {
-  if (!codegen_ready()) {
-    state.SkipWithError("HDL codegen unavailable (no compiler or compile failed)");
-    return;
-  }
-  stamp_hdl_mode(state, hdl::HdlExecMode::codegen);
-}
-BENCHMARK(BM_StampHdlCodegen);
-
 void BM_StampHdlAst(benchmark::State& state) {
   stamp_hdl_mode(state, hdl::HdlExecMode::ast);
 }
@@ -206,9 +164,8 @@ int main(int argc, char** argv) {
   std::puts("\nInterpretation: the paper reports ~10x penalty for interpreted");
   std::puts("HDL-A vs native primitives; BM_HdlListing1Ast / BM_NativeDevice");
   std::puts("reproduces it. The bytecode VM (BM_HdlListing1, the default");
-  std::puts("executor) closes most of the gap and native codegen");
-  std::puts("(BM_HdlListing1Codegen, --hdl-mode=codegen) the rest; compare");
-  std::puts("BM_StampHdl[Codegen|Ast] / BM_StampNative for the per-evaluation");
-  std::puts("overhead. docs/hdl.md tabulates the measured per-stamp costs.");
+  std::puts("executor) closes most of the gap; compare BM_StampHdl[Ast] /");
+  std::puts("BM_StampNative for the per-evaluation overhead. docs/hdl.md");
+  std::puts("tabulates the measured per-stamp costs.");
   return 0;
 }

@@ -2,7 +2,7 @@
 //
 // Recovery code that is never exercised is broken code waiting for its first
 // field failure: the gmin/source rescue ladder, the transient step-rejection
-// path, the codegen fallback, and the sweep's per-point isolation all have
+// path, and the sweep's per-point isolation all have
 // failure branches that no ordinary test input reaches on demand. This
 // harness makes them reachable: production code declares *sites* —
 //
@@ -31,8 +31,6 @@
 //   newton.stall         NewtonSolver::solve entry — the solve returns
 //                        non-converged (newton-divergence) immediately
 //   deadline.expire      Deadline::expired — forces a timeout at the poll
-//   codegen.compile      hdl codegen acquire — forces the host-compiler
-//                        step to fail, driving the VM fallback
 //   engine.alloc         AnalysisEngine::run_tran entry — throws
 //                        std::bad_alloc (allocation-failure isolation)
 #pragma once

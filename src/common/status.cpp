@@ -16,7 +16,6 @@ constexpr std::pair<FailureKind, const char*> kNames[] = {
     {FailureKind::max_steps_exceeded, "max-steps-exceeded"},
     {FailureKind::timeout, "timeout"},
     {FailureKind::cancelled, "cancelled"},
-    {FailureKind::codegen_fallback, "codegen-fallback"},
     {FailureKind::assert_violation, "assert-violation"},
     {FailureKind::alloc_failure, "alloc-failure"},
     {FailureKind::internal_error, "internal-error"},

@@ -29,7 +29,6 @@ enum class FailureKind : int {
   max_steps_exceeded,  ///< transient hit TranOptions::max_steps
   timeout,             ///< wall-clock deadline (NewtonOptions::timeout_ms) expired
   cancelled,           ///< cooperative cancel token fired
-  codegen_fallback,    ///< native HDL codegen unavailable; ran on the bytecode VM
   assert_violation,    ///< an HDL ASSERT boundary condition fired
   alloc_failure,       ///< allocation failure (std::bad_alloc) inside an analysis
   internal_error,      ///< unexpected exception captured at an isolation boundary
@@ -46,7 +45,7 @@ bool failure_kind_from_string(std::string_view name, FailureKind& out) noexcept;
 /// Default-constructed means "no failure" (kind == none, ok() == true).
 struct FailureInfo {
   FailureKind kind = FailureKind::none;
-  std::string analysis;  ///< "dc", "tran", "ac", "sweep", "codegen", ...
+  std::string analysis;  ///< "dc", "tran", "ac", "sweep", ...
   /// Transient time point or AC frequency at failure; NaN when not applicable.
   double time = std::numeric_limits<double>::quiet_NaN();
   int iteration = -1;       ///< Newton iterations spent when it failed; -1 = n/a

@@ -37,7 +37,7 @@ hdl::HdlExecMode hdl_mode(const XDeviceArgs& a) {
   hdl::HdlExecMode mode{};
   if (!hdl::parse_exec_mode(text, mode))
     throw NetlistError(a.line, "device '" + a.name + "': bad HDL exec mode '" + text +
-                           "' (ast|bytecode|codegen)");
+                           "' (ast|bytecode)");
   return mode;
 }
 
@@ -74,8 +74,8 @@ void register_transducer_devices(spice::NetlistParser& parser) {
   });
   parser.register_string_param("mode");
 
-  // HDL-AT stdlib transducers, executed by the HDL engine (interpreted /
-  // bytecode / native codegen) rather than the hand-written C++ devices —
+  // HDL-AT stdlib transducers, executed by the HDL engine (interpreted or
+  // bytecode) rather than the hand-written C++ devices —
   // the netlist-level handle on the paper's central trade-off.
   register_hdl_card(parser, "HDLTRANSV", &hdl::stdlib::paper_listing1, "eletran",
                     {{"a", "A"}, {"d", "d"}, {"er", "er"}});

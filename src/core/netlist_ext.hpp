@@ -29,7 +29,7 @@
 //   X<id> ea eb mc md HDLMAG    a=<m^2> d=<m> n=<turns>
 //   X<id> ea eb mc md HDLDYN    n=<turns> r=<m> b=<T>
 //
-// Every HDL card accepts `mode=ast|bytecode|codegen` (default: the
+// Every HDL card accepts `mode=ast|bytecode` (default: the
 // `.options hdl=` setting in effect, else bytecode). This registration also
 // installs the `hdl` string option on the parser.
 #pragma once

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "hdl/codegen.hpp"
 #include "hdl/parser.hpp"
 #include "spice/lint.hpp"
 
@@ -16,8 +15,6 @@ bool parse_exec_mode(const std::string& text, HdlExecMode& out) {
     out = HdlExecMode::ast;
   } else if (text == "bytecode") {
     out = HdlExecMode::bytecode;
-  } else if (text == "codegen") {
-    out = HdlExecMode::codegen;
   } else {
     return false;
   }
@@ -28,7 +25,6 @@ const char* to_string(HdlExecMode mode) noexcept {
   switch (mode) {
     case HdlExecMode::ast: return "ast";
     case HdlExecMode::bytecode: return "bytecode";
-    case HdlExecMode::codegen: return "codegen";
   }
   return "?";
 }
@@ -86,8 +82,8 @@ void HdlDevice::bind(spice::Binder& binder) {
   // available as the oracle regardless of the active exec mode).
   program_ = compile(model_, nodes_, branch_of_pair_, seed_unknowns_);
 
-  // Static verification gates BOTH executors: the VM and the codegen backend
-  // translate this same program, and neither bounds-checks at runtime.
+  // Static verification gates the VM: it runs this program without
+  // bounds-checking at runtime.
   // Binding is sequential, so every index the program references is below
   // the binder's current unknown watermark.
   verify_report_ = verify_program(program_, binder.unknown_watermark());
@@ -100,17 +96,6 @@ void HdlDevice::bind(spice::Binder& binder) {
   const std::size_t k = seed_unknowns_.size();
   cap_a_.reserve(k * k);
   cap_b_.reserve(k * k);
-
-  // Codegen mode acquires its native object eagerly at bind, so the compile
-  // (or the one-time fallback warning) never lands inside a hot evaluation
-  // loop or a parallel assembly pass. acquire() is a no-op beyond a map
-  // lookup for every instance after the first of a given shape.
-  cg_ = nullptr;
-  cg_attempted_ = false;
-  if (exec_mode_ == HdlExecMode::codegen) {
-    cg_attempted_ = true;
-    cg_ = codegen::acquire(program_);
-  }
 }
 
 void HdlDevice::lint(spice::LintSink& sink) const {
@@ -274,17 +259,6 @@ sym::Dual HdlDevice::eval_expr(const ExprNode& e, Frame& fr) {
 
 void HdlDevice::run(spice::EvalCtx* ctx, Pass pass, const DVector& x,
                     double* jf_capture) {
-  if (exec_mode_ == HdlExecMode::codegen) {
-    if (!cg_attempted_) {  // mode switched on after bind
-      cg_attempted_ = true;
-      cg_ = codegen::acquire(program_);
-    }
-    if (cg_ != nullptr) {
-      run_codegen(ctx, pass, x, jf_capture);
-      return;
-    }
-    // acquire() warned once for this shape; execute as the bytecode VM.
-  }
   if (exec_mode_ != HdlExecMode::ast) {
     BytecodeVm::RunIo io;
     io.ctx = ctx;
@@ -310,89 +284,6 @@ void HdlDevice::run(spice::EvalCtx* ctx, Pass pass, const DVector& x,
     return;
   }
   run_ast(ctx, pass, x, jf_capture);
-}
-
-void HdlDevice::run_codegen(spice::EvalCtx* ctx, Pass pass, const DVector& x,
-                            double* jf_capture) {
-  const BytecodeProgram& p = program_;
-  const std::size_t S = seed_unknowns_.size();
-
-  // Gather: the generated code reads unknowns per AD seed slot, never by
-  // global index — that is what makes one object serve every instance.
-  cg_xs_.resize(S);
-  for (std::size_t i = 0; i < S; ++i)
-    cg_xs_[i] = x[static_cast<std::size_t>(seed_unknowns_[i])];
-
-  codegen::CgIo io;
-  io.xs = cg_xs_.data();
-  io.frame = p.frame_init.data();
-  if (pass == Pass::transient || pass == Pass::commit) {
-    io.c0 = ctx != nullptr ? ctx->integ_c0 : 0.0;
-    io.c1 = ctx != nullptr ? ctx->integ_c1 : 1.0;
-  }
-  io.ddt = reinterpret_cast<double*>(ddt_.data());
-  io.integ = reinterpret_cast<double*>(integ_.data());
-
-  if (pass == Pass::commit) {
-    // State commits happen inside the generated function; stamps are
-    // compiled out of the commit segment and ASSERT hits come back as
-    // (site, value) pairs, mirroring the VM's fired_asserts protocol.
-    const std::size_t sites = p.assert_lines.size();
-    cg_sites_.resize(sites);
-    cg_vals_.resize(sites);
-    int n_fired = 0;
-    io.fired_sites = cg_sites_.data();
-    io.fired_vals = cg_vals_.data();
-    io.n_fired = &n_fired;
-    cg_->commit(&io);
-    for (int k = 0; k < n_fired; ++k) {
-      const int site = cg_sites_[static_cast<std::size_t>(k)];
-      report_assert(site, p.assert_lines[static_cast<std::size_t>(site)],
-                    cg_vals_[static_cast<std::size_t>(k)]);
-    }
-    return;
-  }
-
-  const bool capture = jf_capture != nullptr;
-  const bool stamping = !capture && ctx != nullptr;
-  cg_f_.assign(S, 0.0);
-  double* j = jf_capture;  // capture accumulates straight into the caller's block
-  if (!capture) {
-    cg_j_.assign(S * S, 0.0);
-    j = cg_j_.data();
-  }
-  io.f_out = cg_f_.data();
-  io.j_out = j;
-
-  // Effort-pair plumbing: identical to the VM/AST preamble (pass-independent,
-  // so the jq capture difference cancels it — skipped there).
-  if (stamping) {
-    for (const auto& pl : p.pairs) {
-      ctx->f_add(pl.na, ctx->v(pl.br));
-      ctx->f_add(pl.nb, -ctx->v(pl.br));
-      ctx->jf_add(pl.na, pl.br, 1.0);
-      ctx->jf_add(pl.nb, pl.br, -1.0);
-      ctx->f_add(pl.br, ctx->v(pl.na) - ctx->v(pl.nb));
-      ctx->jf_add(pl.br, pl.na, 1.0);
-      ctx->jf_add(pl.br, pl.nb, -1.0);
-    }
-  }
-
-  (pass == Pass::dc ? cg_->dc : pass == Pass::dc_ddt ? cg_->dc_ddt : cg_->tran)(&io);
-
-  // Scatter the seed-indexed block through the generic sink (dense, sparse
-  // slot-table, or block-capture — all reachable via ctx). Zero Jacobian
-  // entries are skipped exactly like the VM's per-stamp zero check.
-  if (stamping) {
-    const int* seeds = seed_unknowns_.data();
-    for (std::size_t r = 0; r < S; ++r) {
-      ctx->f_add(seeds[r], cg_f_[r]);
-      const double* row = j + r * S;
-      for (std::size_t c = 0; c < S; ++c) {
-        if (row[c] != 0.0) ctx->jf_add(seeds[r], seeds[c], row[c]);
-      }
-    }
-  }
 }
 
 void HdlDevice::run_ast(spice::EvalCtx* ctx, Pass pass, const DVector& x,

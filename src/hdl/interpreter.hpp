@@ -18,22 +18,15 @@
 // are separated into the jq matrix by a two-pass gradient extraction whose
 // scratch is seed-local (seeds x seeds), never n x n.
 //
-// Three executors share the pass semantics and the per-site state:
+// Two executors share the pass semantics and the per-site state:
 //  * HdlExecMode::bytecode (default) — the model is compiled once at bind
 //    into a flat register-slot program run by BytecodeVm (hdl/bytecode.hpp).
 //    This closes most of the ~10x interpreted-model penalty the paper
 //    reports; bench_perf_hdl_overhead tracks the remaining gap.
-//  * HdlExecMode::codegen — the bytecode program is translated to flat C++
-//    (hdl/codegen.hpp), compiled once per model *shape* by the host compiler
-//    into a dlopen'd shared object with the Dual arithmetic unrolled over
-//    the seed count and the stamps fused into a seed-indexed block. Falls
-//    back to the bytecode VM (with one warning) when no compiler is
-//    available or compilation fails — codegen never gates correctness.
 //  * HdlExecMode::ast — the original recursive tree walk over the
 //    ElaboratedModel, kept as the reproduction of the paper's interpreted
-//    path and as the oracle the other executors are tested against
-//    (tests/hdl/test_bytecode.cpp, tests/hdl/test_codegen.cpp assert parity
-//    at 1e-12).
+//    path and as the oracle the VM is tested against
+//    (tests/hdl/test_bytecode.cpp asserts parity at 1e-12).
 #pragma once
 
 #include <memory>
@@ -49,19 +42,14 @@
 
 namespace usys::hdl {
 
-namespace codegen {
-struct CompiledModel;
-}
-
 /// Which executor HdlDevice::evaluate runs. Switchable at any time; all
 /// executors share the ddt/integ site state, so results stay consistent.
 enum class HdlExecMode {
   bytecode,  ///< compiled register-slot program (fast path, default)
   ast,       ///< recursive tree walk (paper-faithful oracle)
-  codegen,   ///< native-compiled model (fastest; VM fallback when unavailable)
 };
 
-/// Parses "ast" / "bytecode" / "codegen" (case-sensitive); false on anything
+/// Parses "ast" / "bytecode" (case-sensitive); false on anything
 /// else. Shared by the netlist `.options hdl=` card and `usim --hdl-mode=`.
 bool parse_exec_mode(const std::string& text, HdlExecMode& out);
 const char* to_string(HdlExecMode mode) noexcept;
@@ -84,17 +72,7 @@ class HdlDevice final : public spice::Device {
   const ElaboratedModel& model() const noexcept { return model_; }
 
   HdlExecMode exec_mode() const noexcept { return exec_mode_; }
-  void set_exec_mode(HdlExecMode mode) noexcept {
-    // Re-arm the lazy codegen acquisition when (re)entering codegen mode, so
-    // a post-bind switch still picks up the native object.
-    if (mode == HdlExecMode::codegen && exec_mode_ != mode) cg_attempted_ = false;
-    exec_mode_ = mode;
-  }
-
-  /// True when this device currently runs a native-compiled model (codegen
-  /// mode, acquisition succeeded). False before bind, in other modes, and
-  /// after a fallback.
-  bool codegen_active() const noexcept { return exec_mode_ == HdlExecMode::codegen && cg_ != nullptr; }
+  void set_exec_mode(HdlExecMode mode) noexcept { exec_mode_ = mode; }
 
   /// The compiled program (valid after bind; for tests and benchmarks).
   const BytecodeProgram& program() const noexcept { return program_; }
@@ -125,8 +103,6 @@ class HdlDevice final : public spice::Device {
   void run(spice::EvalCtx* ctx, Pass pass, const DVector& x,
            double* jf_capture = nullptr);
   void run_ast(spice::EvalCtx* ctx, Pass pass, const DVector& x, double* jf_capture);
-  void run_codegen(spice::EvalCtx* ctx, Pass pass, const DVector& x,
-                   double* jf_capture);
   void report_assert(int site, int line, double value);
 
   ElaboratedModel model_;
@@ -143,17 +119,6 @@ class HdlDevice final : public spice::Device {
   BytecodeVm vm_;
   std::vector<std::pair<int, double>> fired_asserts_;  ///< VM scratch
   std::vector<double> cap_a_, cap_b_;                  ///< jq capture scratch
-
-  // Codegen execution state (hdl/codegen.hpp): the process-wide registry
-  // owns the compiled object; the device only keeps the entry points plus
-  // per-run gather/scatter scratch.
-  const codegen::CompiledModel* cg_ = nullptr;
-  bool cg_attempted_ = false;
-  std::vector<double> cg_xs_;        ///< gathered unknown values per seed slot
-  std::vector<double> cg_f_;         ///< residual block by seed row
-  std::vector<double> cg_j_;         ///< Jacobian block, seeds x seeds
-  std::vector<int> cg_sites_;        ///< commit-pass ASSERT scratch
-  std::vector<double> cg_vals_;
 
   int seed_of(int global) const;     ///< -1 if not seeded (ground)
 };

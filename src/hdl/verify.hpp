@@ -2,13 +2,12 @@
 // layer, docs/diagnostics.md).
 //
 // compile() (hdl/bytecode.cpp) is trusted to emit well-formed programs, but
-// both executors index registers, constants, AD seed slots, unknowns, and
+// the VM indexes registers, constants, AD seed slots, unknowns, and
 // integrator sites with NO runtime bounds checks — a malformed program is a
 // silent out-of-bounds read/write or a wrong stamp deep inside Newton. This
-// module is the backstop: verify_program() checks every invariant the VM and
-// the codegen backend (which translates the same Insn stream) rely on, in one
-// linear pass per code stream, so HdlDevice::bind can reject a bad program
-// *before* either backend executes it.
+// module is the backstop: verify_program() checks every invariant the VM
+// relies on, in one linear pass per code stream, so HdlDevice::bind can
+// reject a bad program *before* the VM executes it.
 //
 // Checked invariants (rule ids are the `hdl-*` entries of the diagnostics
 // catalog):

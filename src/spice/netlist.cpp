@@ -372,7 +372,7 @@ Netlist NetlistParser::parse(const std::string& text) {
         for (std::size_t i = 1; i < toks.size(); ++i) {
           const auto eq = toks[i].find('=');
           if (eq != std::string::npos) {
-            // Registered string keys (e.g. mode=codegen on HDL cards) pass
+            // Registered string keys (e.g. mode=ast on HDL cards) pass
             // verbatim; everything else keeps the strict numeric contract,
             // so value typos (er=one, m=1e--9) stay hard errors instead of
             // silently falling through to a factory default.

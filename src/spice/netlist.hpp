@@ -29,7 +29,7 @@
 //       whole transducer/mass/spring/damper array from a single X card)
 //   .options [method=be|trap|gear] [dtmax=<s>] [reltol=<x>] [<strkey>=<val>]
 //       string-valued keys must be registered (register_string_option);
-//       usys::core registers `hdl=ast|bytecode|codegen` — the execution mode
+//       usys::core registers `hdl=ast|bytecode` — the execution mode
 //       HDL X cards after this point instantiate with (see docs/hdl.md)
 //   .op | .tran <dtinit> <tstop> | .ac dec|lin <pts> <f0> <f1>
 //   .end

@@ -2,13 +2,16 @@
 // examples/ runs through both HdlExecMode paths and must agree at 1e-12
 // across DC, transient, and AC — the compiled VM mirrors sym::Dual operation
 // for operation, so agreement is normally exact. Plus edge cases: min/max/
-// limit gradient (active-branch) selection and the ASSERT-on-commit path.
+// limit gradient (active-branch) selection and the ASSERT-on-commit path,
+// and the netlist plumbing that selects the executor (`.options hdl=`,
+// per-card `mode=`) with an engine run compared across both modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 
 #include "api/api.hpp"
+#include "core/netlist_ext.hpp"
 #include "hdl/bytecode.hpp"
 #include "hdl/interpreter.hpp"
 #include "hdl/stdlib.hpp"
@@ -16,6 +19,7 @@
 #include "spice/devices_controlled.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_source.hpp"
+#include "spice/engine.hpp"
 #include "spice/solver.hpp"
 
 namespace usys::hdl {
@@ -440,6 +444,94 @@ TEST(Bytecode, ProgramShape) {
       // Stamp rows resolved to circuit unknowns at compile time.
       EXPECT_TRUE(in.a == drive || in.a == vel || in.a == -1);
     }
+  }
+}
+
+// --- netlist / engine plumbing ----------------------------------------------
+
+/// `.options hdl=` selects the executor for HDL cards; per-card `mode=`
+/// overrides; values are validated at parse time.
+TEST(BytecodeNetlist, OptionsAndCardModeSelectExecutor) {
+  auto parser = core::make_full_parser();
+  const char* net = R"(* hdl exec mode plumbing
+.options hdl=ast
+V1 drive 0 2
+XA drive 0 va 0 HDLTRANSV a=1e-4 d=2e-6 er=1
+XB drive 0 vb 0 HDLTRANSV a=1e-4 d=2e-6 er=1 mode=bytecode
+XM va MASS m=1e-9
+XN vb MASS m=1e-9
+.op
+.end
+)";
+  auto parsed = parser.parse(net);
+  auto* xa = dynamic_cast<HdlDevice*>(parsed.circuit->find_device("XA"));
+  auto* xb = dynamic_cast<HdlDevice*>(parsed.circuit->find_device("XB"));
+  ASSERT_NE(xa, nullptr);
+  ASSERT_NE(xb, nullptr);
+  EXPECT_EQ(xa->exec_mode(), HdlExecMode::ast);
+  EXPECT_EQ(xb->exec_mode(), HdlExecMode::bytecode);
+
+  // set_option (the usim --hdl-mode path) presets the default.
+  auto parser2 = core::make_full_parser();
+  parser2.set_option("hdl", "ast");
+  auto parsed2 = parser2.parse(
+      "V1 d 0 1\nXA d 0 v 0 HDLTRANSV a=1e-4 d=2e-6 er=1\nXM v MASS m=1e-9\n.end\n");
+  auto* xc = dynamic_cast<HdlDevice*>(parsed2.circuit->find_device("XA"));
+  ASSERT_NE(xc, nullptr);
+  EXPECT_EQ(xc->exec_mode(), HdlExecMode::ast);
+
+  // Bad values are parse errors, with a line number. `codegen` named a
+  // native-compiled executor that no longer exists; it is rejected like any
+  // other unknown mode.
+  for (const char* bad : {".options hdl=fast\n", ".options hdl=codegen\n",
+                          "Xh a 0 v 0 HDLTRANSV a=1e-4 d=2e-6 er=1 mode=jit\n.end\n",
+                          "Xh a 0 v 0 HDLTRANSV a=1e-4 d=2e-6 er=1 mode=codegen\n.end\n"})
+    EXPECT_THROW(parser.parse(bad), spice::NetlistError) << bad;
+  for (const char* bad : {"fast", "codegen"}) {
+    EXPECT_THROW(parser.set_option("hdl", bad), spice::NetlistError) << bad;
+    HdlExecMode mode{};
+    EXPECT_FALSE(parse_exec_mode(bad, mode)) << bad;
+  }
+
+  // Every unregistered parameter key keeps the strict numeric contract —
+  // value typos are hard errors, never silent factory defaults.
+  EXPECT_THROW(parser.parse("Xm v MASS m=1e--9\n.end\n"), spice::NetlistError);
+  EXPECT_THROW(parser.parse("Xm v MASS m=1..5\n.end\n"), spice::NetlistError);
+  EXPECT_THROW(
+      parser.parse("Xt a 0 v 0 ETRANSV a=1e-8 d=2e-6 er=one\n.end\n"),
+      spice::NetlistError);
+}
+
+/// A netlist-driven HDL device agrees across executors over a full engine
+/// run (the AnalysisEngine path usim takes).
+TEST(BytecodeNetlist, EngineRunMatchesAcrossModes) {
+  auto run_mode = [](const char* mode) {
+    auto parser = core::make_full_parser();
+    parser.set_option("hdl", mode);
+    std::string net(R"(* hdl netlist engine run
+V1 drive 0 PULSE(0 8 0 1m 1m 20m)
+R1 drive coil 50
+XT coil 0 vel 0 HDLTRANSV a=1e-4 d=0.15e-3 er=1
+XM vel MASS m=1e-4
+XK vel 0 SPRING k=200
+XB vel 0 DAMPER alpha=40e-3
+.tran 1e-5 5e-3
+.end
+)");
+    auto parsed = parser.parse(net);
+    spice::AnalysisEngine engine(*parsed.circuit);
+    auto card = parsed.analyses.at(0);
+    const auto res = engine.run_tran(card.tran);
+    EXPECT_TRUE(res.ok) << res.error;
+    return res.x.back();
+  };
+  const auto ast = run_mode("ast");
+  const auto vm = run_mode("bytecode");
+  ASSERT_EQ(vm.size(), ast.size());
+  for (std::size_t i = 0; i < vm.size(); ++i) {
+    std::string what("engine unknown ");
+    what += std::to_string(i);
+    expect_close(vm[i], ast[i], what);
   }
 }
 

@@ -513,6 +513,32 @@ TEST(Server, NetlistErrorIsExitTwo) {
   auto done = find_frame(frames, "done");
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->get_number("exit_code"), 2.0);
+
+  // The wire field `hdl` accepts exactly the netlist's executor names.
+  // `codegen` is an unknown mode like any other: the job fails at parse time
+  // with the same structured frame, before any HDL device is built.
+  const char* kHdlNetlist =
+      "V1 d 0 1\nXA d 0 v 0 HDLTRANSV a=1e-4 d=2e-6 er=1\nXM v MASS m=1e-9\n.op\n.end\n";
+  std::vector<std::string> messages;
+  for (const char* mode : {"codegen", "jit"}) {
+    Request req = run_request(kHdlNetlist);
+    req.hdl_mode = mode;
+    const auto mode_frames = submit(ts.server, req);
+    auto mode_error = find_frame(mode_frames, "error");
+    ASSERT_TRUE(mode_error.has_value()) << mode;
+    EXPECT_EQ(mode_error->get_number("code"), 2.0) << mode;
+    EXPECT_EQ(mode_error->get_string("kind"), "netlist-error") << mode;
+    auto mode_done = find_frame(mode_frames, "done");
+    ASSERT_TRUE(mode_done.has_value()) << mode;
+    EXPECT_EQ(mode_done->get_number("exit_code"), 2.0) << mode;
+    std::string message = mode_error->get_string("message");
+    const std::size_t at = message.find(mode);
+    ASSERT_NE(at, std::string::npos) << message;
+    message.replace(at, std::string(mode).size(), "<mode>");
+    messages.push_back(message);
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+
   // Failed constructions must not poison the engine cache.
   EXPECT_EQ(ts.server.stats().engines_cached, 0);
 }

@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -95,6 +96,50 @@ TEST_F(CheckpointTest, FailureRecordRoundTripsKindAndContext) {
   EXPECT_EQ(rec.outcome.failure.iteration, 7);
   EXPECT_EQ(rec.outcome.failure.rescue_attempts, 1);
   EXPECT_EQ(rec.outcome.failure.detail, "detail \\ here");
+}
+
+/// Checkpoints store a failure's kind by name, so the names are part of the
+/// file format: every kind must survive to_string -> failure_kind_from_string
+/// and a checkpoint line, and the names themselves must not drift.
+TEST_F(CheckpointTest, EveryFailureKindNameRoundTrips) {
+  const std::vector<std::pair<FailureKind, std::string>> kNames = {
+      {FailureKind::none, "none"},
+      {FailureKind::singular_matrix, "singular-matrix"},
+      {FailureKind::newton_divergence, "newton-divergence"},
+      {FailureKind::step_underflow, "step-underflow"},
+      {FailureKind::max_steps_exceeded, "max-steps-exceeded"},
+      {FailureKind::timeout, "timeout"},
+      {FailureKind::cancelled, "cancelled"},
+      {FailureKind::assert_violation, "assert-violation"},
+      {FailureKind::alloc_failure, "alloc-failure"},
+      {FailureKind::internal_error, "internal-error"},
+      {FailureKind::lint_rejected, "lint-rejected"},
+  };
+  // The enum is dense from none to lint_rejected: the table covers it all.
+  ASSERT_EQ(kNames.size(), static_cast<std::size_t>(FailureKind::lint_rejected) + 1);
+  for (std::size_t i = 0; i < kNames.size(); ++i) {
+    const auto& [kind, name] = kNames[i];
+    ASSERT_EQ(static_cast<std::size_t>(kind), i) << name;
+    EXPECT_EQ(to_string(kind), name);
+    // Start from a different kind so an untouched `back` cannot pass.
+    FailureKind back = kind == FailureKind::none ? FailureKind::timeout : FailureKind::none;
+    ASSERT_TRUE(failure_kind_from_string(to_string(kind), back)) << name;
+    EXPECT_EQ(back, kind) << name;
+    if (kind == FailureKind::none) continue;
+
+    SweepPoint point;
+    point.params = {{"k", 1.0}};
+    SweepOutcome out;
+    out.ok = false;
+    out.error = name;
+    out.failure = make_failure(kind, "tran", name);
+    CheckpointRecord rec;
+    ASSERT_TRUE(parse_checkpoint_line(checkpoint_line(0, point, out), rec)) << name;
+    EXPECT_EQ(rec.outcome.failure.kind, kind) << name;
+  }
+  FailureKind untouched = FailureKind::timeout;
+  EXPECT_FALSE(failure_kind_from_string("no-such-kind", untouched));
+  EXPECT_EQ(untouched, FailureKind::timeout);
 }
 
 TEST_F(CheckpointTest, NanTimeWritesNullAndReadsBackNan) {

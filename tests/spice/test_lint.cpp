@@ -1,6 +1,6 @@
 // Golden-diagnostic tests for the static circuit analyzer (spice/lint.hpp):
 // one defect netlist per rule under tests/spice/lint/, plus the clean-corpus
-// guarantee that every shipped example (and the HDL stdlib in all three
+// guarantee that every shipped example (and the HDL stdlib in both
 // executors) lints without findings, and the engine-preflight contract
 // (errors reject with FailureKind::lint_rejected, warnings never block).
 #include <gtest/gtest.h>
@@ -177,7 +177,7 @@ TEST(LintCleanCorpus, ShippedExamplesAreClean) {
 }
 
 TEST(LintCleanCorpus, HdlStdlibCleanInAllExecModes) {
-  // Every stdlib transducer, one well-formed instance each, in all three
+  // Every stdlib transducer, one well-formed instance each, in both
   // executors: the compiled bytecode must verify clean AND the circuit-level
   // lint must find nothing. (The executors share the compiled program, but
   // mode selection exercises the distinct bind paths.)
@@ -191,7 +191,7 @@ TEST(LintCleanCorpus, HdlStdlibCleanInAllExecModes) {
       "XD m 0 DAMPER alpha=1e-6\n"
       ".op\n"
       ".end\n";
-  for (const char* mode : {"ast", "bytecode", "codegen"}) {
+  for (const char* mode : {"ast", "bytecode"}) {
     auto parser = core::make_full_parser();
     parser.set_option("hdl", mode);
     Netlist net = parser.parse(kNetlist);

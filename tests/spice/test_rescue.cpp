@@ -2,11 +2,12 @@
 // reachable here — through real inputs where possible (timeouts, cancel,
 // max_steps, ASSERT) and through the deterministic fault-injection harness
 // (USYS_FAULT_INJECT builds) for the paths no ordinary input reaches on
-// demand: the DC rescue ladder, step underflow, singular pivots, the codegen
-// fallback, and allocation failure inside the sweep isolation boundary.
+// demand: the DC rescue ladder, step underflow, singular pivots, and
+// allocation failure inside the sweep isolation boundary.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,15 @@ int build_divider(Circuit& ckt) {
   ckt.add<Resistor>("R1", in, mid, 1e3);
   ckt.add<Resistor>("R2", mid, Circuit::kGround, 1e3);
   return mid;
+}
+
+/// `prefix` followed by `i`. Appending to a std::string keeps GCC 12's
+/// -Wrestrict false positive on `"n" + std::to_string(i)` out of -Werror
+/// builds.
+std::string tag(const char* prefix, int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
 }
 
 /// RC lowpass (tau = 1 ms) for the transient failure paths.
@@ -287,10 +297,10 @@ TEST_F(RescueTest, InjectedSparseSingularityReportsSingularMatrix) {
   Circuit ckt;
   std::vector<int> nodes;
   for (int i = 0; i < 16; ++i)
-    nodes.push_back(ckt.add_node("n" + std::to_string(i), Nature::electrical));
+    nodes.push_back(ckt.add_node(tag("n", i), Nature::electrical));
   ckt.add<VSource>("V1", nodes[0], Circuit::kGround, 1.0);
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
-    ckt.add<Resistor>("R" + std::to_string(i), nodes[i], nodes[i + 1], 100.0);
+    ckt.add<Resistor>(tag("R", i), nodes[i], nodes[i + 1], 100.0);
   ckt.add<Resistor>("Rend", nodes.back(), Circuit::kGround, 100.0);
   DcOptions opts;
   opts.newton.backend = MatrixBackend::sparse;
@@ -331,38 +341,6 @@ TEST_F(RescueTest, InjectedAllocFailureIsIsolatedPerSweepPoint) {
   EXPECT_EQ(results[0].failure.kind, FailureKind::alloc_failure);
   EXPECT_EQ(results[0].error, "allocation failure");
   EXPECT_TRUE(results[1].ok) << results[1].error;  // the batch survived
-}
-
-TEST_F(RescueTest, InjectedCompileFailureFallsBackToBytecodeVm) {
-  REQUIRE_FAULT_BUILD();
-  const char* model = R"(
-ENTITY rmod IS
-  GENERIC (g : analog);
-  PIN (a, b : electrical);
-END ENTITY rmod;
-ARCHITECTURE x OF rmod IS
-BEGIN
-  RELATION
-    PROCEDURAL FOR transient =>
-      [a, b].i %= g*[a, b].v;
-  END RELATION;
-END ARCHITECTURE x;
-)";
-  Circuit ckt;
-  const int n = ckt.add_node("n", Nature::electrical);
-  ckt.add<ISource>("I1", Circuit::kGround, n, 1e-3);
-  auto dev = hdl::instantiate("XR", model, "rmod", {{"g", 1e-3}}, {n, Circuit::kGround},
-                              hdl::HdlExecMode::codegen);
-  const hdl::HdlDevice* raw = dev.get();
-  ckt.add_device(std::move(dev));
-  fault::arm("codegen.compile", 1, -1);
-  TranOptions opts;
-  opts.tstop = 1e-4;
-  const TranResult res = api::transient(ckt, opts);
-  ASSERT_TRUE(res.ok) << res.error;                 // the VM fallback carried the run
-  EXPECT_FALSE(raw->codegen_active());              // ...and codegen never engaged
-  EXPECT_GE(fault::fired("codegen.compile"), 1);    // the site was really reached
-  EXPECT_NEAR(res.sample(1e-4, n), 1.0, 1e-6);      // 1 mA / 1 mS
 }
 
 }  // namespace

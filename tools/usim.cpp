@@ -59,12 +59,10 @@
 // (R1.r, C3.c, XK2.k, V1.dc, ...). Repeatable. Also accepted by --client
 // submissions, where a matching cached engine takes the rebind() fast path.
 //
-// --hdl-mode=ast|bytecode|codegen presets the execution mode for HDL
-// behavioral cards (HDLTRANSV & co.): the paper's interpreted tree walk, the
-// bytecode VM (default), or natively compiled models. Equivalent to a
-// leading `.options hdl=<mode>`; the netlist's own `.options hdl=` and
-// per-card `mode=` still override. codegen falls back to the VM (with a
-// warning) when no host compiler is available.
+// --hdl-mode=ast|bytecode presets the execution mode for HDL behavioral
+// cards (HDLTRANSV & co.): the paper's interpreted tree walk or the bytecode
+// VM (default). Equivalent to a leading `.options hdl=<mode>`; the netlist's
+// own `.options hdl=` and per-card `mode=` still override.
 //
 // Fault tolerance: --timeout=<ms> puts a wall-clock budget on every
 // analysis (per sweep point in sweep mode; whole job in server mode); a
@@ -629,10 +627,9 @@ void print_usage(std::ostream& os) {
         "                      bit-identical to serial (results never depend on N);\n"
         "                      --client mode: sent as the request's threads field\n"
         "  --hdl-mode=<mode>   execution mode for HDL behavioral cards: ast (the\n"
-        "                      paper's interpreted walk), bytecode (VM, default), or\n"
-        "                      codegen (natively compiled; falls back to the VM when\n"
-        "                      no host compiler is available). Same as a leading\n"
-        "                      '.options hdl=<mode>'; per-card 'mode=' overrides\n"
+        "                      paper's interpreted walk) or bytecode (VM, default).\n"
+        "                      Same as a leading '.options hdl=<mode>'; per-card\n"
+        "                      'mode=' overrides\n"
         "  --timeout=<ms>      wall-clock budget per analysis card (per sweep point\n"
         "                      in sweep mode; whole job in --client mode); an\n"
         "                      expired run stops at the next solver poll and reports\n"
@@ -798,7 +795,7 @@ int main(int argc, char** argv) {
       hdl::HdlExecMode parsed{};
       if (!hdl::parse_exec_mode(hdl_mode, parsed)) {
         std::cerr << "error: bad --hdl-mode '" << hdl_mode
-                  << "' (ast|bytecode|codegen)\n";
+                  << "' (ast|bytecode)\n";
         return 2;
       }
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
